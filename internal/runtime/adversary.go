@@ -8,10 +8,11 @@ package runtime
 // Determinism contract: the engine calls Crashes exactly once at the start
 // of Run and then calls Intercept from a single goroutine, in the engine's
 // routing order (senders by ascending identifier, each sender's outbox in
-// send order) — an order that is identical in sequential and pool mode. An
-// adversary that derives its decisions deterministically from that call
-// sequence (e.g. a seeded PRNG, see internal/runtime/fault) therefore
-// injects byte-for-byte identical faults in both engine modes. Because the
+// send order) — an order that is identical for every lane count and pool
+// setting. An adversary that derives its decisions deterministically from
+// that call sequence (e.g. a seeded PRNG, see internal/runtime/fault)
+// therefore injects byte-for-byte identical faults in every engine
+// configuration. Because the
 // call sequence is consumed statefully, an adversary value is single-run:
 // create a fresh one per Run.
 type Adversary interface {

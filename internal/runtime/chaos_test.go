@@ -96,31 +96,40 @@ func (m *wedgedMachine) Send(env *runtime.Env) []runtime.Out {
 
 func (m *wedgedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {}
 
+// TestRoundDeadline covers deadline abandonment on every lane layout: one
+// lane run inline or on its worker pool, and two lanes with runner
+// goroutines, each sequential and Parallel.
 func TestRoundDeadline(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			// Release the wedged machine at test end so its goroutine (leaked
-			// by design on a deadline abort) does not outlive the test.
-			block := make(chan struct{})
-			defer close(block)
-			_, err := runtime.Run(runtime.Config{
-				Graph:         graph.Line(4),
-				Parallel:      parallel,
-				RoundDeadline: 50 * time.Millisecond,
-				Factory: func(info runtime.NodeInfo, pred any) runtime.Machine {
-					if info.Index == 2 {
-						return &wedgedMachine{block: block}
+			for _, shards := range []int{0, 1, 2} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					// Release the wedged machine at test end so its goroutine
+					// (leaked by design on a deadline abort) does not outlive
+					// the test.
+					block := make(chan struct{})
+					defer close(block)
+					_, err := runtime.Run(runtime.Config{
+						Graph:         graph.Line(4),
+						Parallel:      parallel,
+						Shards:        shards,
+						RoundDeadline: 50 * time.Millisecond,
+						Factory: func(info runtime.NodeInfo, pred any) runtime.Machine {
+							if info.Index == 2 {
+								return &wedgedMachine{block: block}
+							}
+							return &wedgedMachine{block: nil}
+						},
+					})
+					if !errors.Is(err, runtime.ErrRoundDeadline) {
+						t.Fatalf("want ErrRoundDeadline, got %v", err)
 					}
-					return &wedgedMachine{block: nil}
-				},
-			})
-			if !errors.Is(err, runtime.ErrRoundDeadline) {
-				t.Fatalf("want ErrRoundDeadline, got %v", err)
-			}
-			for _, want := range []string{"send phase", "round 2"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
+					for _, want := range []string{"send phase", "round 2"} {
+						if !strings.Contains(err.Error(), want) {
+							t.Errorf("error %q does not mention %q", err, want)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 	"time"
 
@@ -22,25 +21,25 @@ type Config struct {
 	// Predictions, when non-nil, must have length Graph.N(); Predictions[i]
 	// is handed to the factory for node index i.
 	Predictions []any
-	// Parallel selects the worker-pool engine: a pool of goroutines is
-	// created once per Run and executes the send/receive phases of every
-	// round via phase signals, with a barrier between phases. Both engines
-	// have identical semantics. Combined with Shards, each shard engine gets
-	// its own pool splitting GOMAXPROCS.
+	// Parallel runs each lane's send/receive phases on a persistent worker
+	// pool of ⌈GOMAXPROCS/S⌉ goroutines (S lanes, see Shards), created once
+	// per Run and driven by phase signals with a barrier between phases.
+	// Semantics are identical with or without it.
 	Parallel bool
-	// Shards, when positive, selects the sharded engine: the graph is
-	// partitioned into Shards node sets (contiguous index ranges unless
-	// Partition overrides the strategy) and each shard runs its phases on an
-	// independent shard engine with its own inbox arena and frontier lists,
-	// exchanging boundary-edge message batches at the round barrier. The
-	// determinism contract extends across shard counts: results, error
-	// surfaces, and trace streams (EvShardExchange ledgers excepted) are
-	// identical for every Shards value, including 0 (the single-engine
-	// path). See internal/runtime/shard.go.
+	// Shards sets the engine's lane count S. The engine always executes as
+	// lanes, each owning a node set with its own inbox arena and frontier
+	// lists; 0 and 1 give one lane over the whole graph. With Shards >= 2
+	// the graph is partitioned into Shards node sets (contiguous index
+	// ranges unless Partition overrides the strategy) and the lanes
+	// exchange boundary-edge message batches at the round barrier. The
+	// determinism contract extends across lane counts: results, error
+	// surfaces, and trace streams (EvShardExchange ledgers, emitted only
+	// with two or more lanes, excepted) are identical for every Shards
+	// value. See internal/runtime/shard.go.
 	Shards int
-	// Partition, when non-nil, fixes the node→shard assignment (e.g.
+	// Partition, when non-nil, fixes the node→lane assignment (e.g.
 	// shard.GreedyEdgeCut); its shard count must agree with Shards when both
-	// are set. nil with Shards > 0 selects shard.Contiguous.
+	// are set. nil with Shards >= 2 selects shard.Contiguous.
 	Partition *shard.Partition
 	// MaxRounds caps the execution; 0 selects 8*n + 64, a generous bound for
 	// every algorithm in this repository (all are O(n)-round or better).
@@ -77,9 +76,9 @@ type Config struct {
 	Stats func(RoundStats)
 	// Trace, when non-nil, receives the run's typed event stream (see
 	// internal/obs for the taxonomy). All events are emitted from the
-	// engine's main goroutine in an order identical across both engine
-	// modes; only wall-clock durations differ. Purely observational. When
-	// nil the instrumented paths reduce to a nil check.
+	// engine's main goroutine in an order identical for every lane count
+	// and pool setting; only wall-clock durations differ. Purely
+	// observational. When nil the instrumented paths reduce to a nil check.
 	Trace *obs.Recorder
 	// Telemetry, when non-nil, receives per-phase round wall-time
 	// observations into dgp_round_seconds{phase,shards} histograms (phases:
@@ -119,10 +118,10 @@ type RoundStats struct {
 	InjectedBits int
 	// Corrupted counts deliveries whose payload the adversary replaced.
 	Corrupted int
-	// Shards holds the per-shard delivery ledgers of a multi-shard round
-	// (Config.Shards >= 2; nil otherwise — a single shard's ledger is the
-	// global fields above). Indexed by shard; the slice is reused across
-	// rounds, copy to keep.
+	// Shards holds the per-shard delivery ledgers of a round on two or more
+	// lanes, from Shards or Partition (nil otherwise — a single lane's
+	// ledger is the global fields above). Indexed by shard; the slice is
+	// reused across rounds, copy to keep.
 	Shards []ShardRoundStats
 }
 
@@ -246,7 +245,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("%w: Config.Shards = %d but Config.Partition has %d shards",
 				ErrConfig, cfg.Shards, part.S)
 		}
-	} else if cfg.Shards > 0 {
+	} else if cfg.Shards > 1 {
 		part = shard.Contiguous(n, cfg.Shards)
 	}
 	if cfg.Adversary != nil {
@@ -272,27 +271,15 @@ func Run(cfg Config) (*Result, error) {
 		maxRounds = 8*n + 64
 	}
 
-	st := newState(cfg, g, n, crashes)
-	if part != nil {
-		st.initLanes(part)
-		// A deadline abort abandons the in-flight phase goroutine, which may
-		// still be dispatching on the lanes' (or pool's) channels; closing
-		// them underneath it would race, so abandoned lanes leak with it.
-		defer func() {
-			if !st.poolAbandoned {
-				st.closeLanes()
-			}
-		}()
-	} else if cfg.Parallel {
-		st.pool = newWorkerPool(n)
-		if st.pool != nil {
-			defer func() {
-				if !st.poolAbandoned {
-					st.pool.close()
-				}
-			}()
+	st := newState(cfg, g, n, crashes, part)
+	// A deadline abort abandons the in-flight phase goroutine, which may
+	// still be dispatching on the lanes' channels; closing them underneath
+	// it would race, so abandoned lanes leak with it.
+	defer func() {
+		if !st.abandoned {
+			st.closeLanes()
 		}
-	}
+	}()
 	res := &Result{
 		Outputs:      make([]any, n),
 		TerminatedAt: make([]int, n),
@@ -322,7 +309,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		st.beginRound(round)
 		activeThisRound := st.activeCount
-		if err := st.phase(st.sendFn, round, "send"); err != nil {
+		if err := st.phase(cmdSend, round, "send"); err != nil {
 			st.traceAbort(round, res, err, "send", false)
 			return nil, err
 		}
@@ -333,15 +320,11 @@ func Run(cfg Config) (*Result, error) {
 		if telemetry {
 			mark = telObserve(st.telSend, mark)
 		}
-		if len(st.lanes) > 1 {
-			st.routeSharded(round, res)
-		} else {
-			st.route(round, res)
-		}
+		st.routeLanes(round, res)
 		if telemetry {
 			mark = telObserve(st.telRoute, mark)
 		}
-		if err := st.phase(st.receiveFn, round, "receive"); err != nil {
+		if err := st.phase(cmdReceive, round, "receive"); err != nil {
 			st.traceAbort(round, res, err, "receive", false)
 			return nil, err
 		}
@@ -486,9 +469,10 @@ func buildCrashSched(crashes map[int]int) []crashEntry {
 }
 
 // state holds the engine's mutable execution state in columnar form: flat
-// CSR adjacency, one contiguous inbox arena per round, and compact active
-// lists over a frontier bitset. Per-node slice-of-slice structures are gone
-// from the hot path; what remains per node lives in the flat envs slab.
+// CSR adjacency, one contiguous inbox arena per lane and round, and compact
+// active lists over a frontier bitset. Per-node slice-of-slice structures
+// are gone from the hot path; what remains per node lives in the flat envs
+// slab.
 type state struct {
 	cfg  Config
 	g    *graph.Graph
@@ -520,46 +504,32 @@ type state struct {
 	crashSched []crashEntry
 	crashNext  int
 
-	// inbox is the per-round message arena; inMsgs is the slice acquired for
-	// the current round. inCnt/inOff/inFill carve it into per-node regions:
-	// the counting pass fills inCnt, the offset pass turns it into inOff
-	// (region starts) and resets it, and the placement pass advances inFill.
-	inbox  msgSlab
-	inMsgs []Msg
+	// inCnt/inOff/inFill carve the lane arenas into per-node regions: the
+	// counting pass fills inCnt, the offset pass turns it into inOff (region
+	// starts) and resets it, and inFill[i] ends node i's region once
+	// placement is done.
 	inCnt  []int32
 	inOff  []int32
 	inFill []int32
-
-	// fateCopies/fateSwap record the adversary's verdicts from the counting
-	// pass (copies delivered, 0 = dropped; replacement payload or nil) so the
-	// placement pass replays them without consulting the adversary twice.
-	fateCopies []int32
-	fateSwap   []Payload
 
 	// errs[i] records a per-node engine error (e.g. send to non-neighbor).
 	errs []error
 	// terminatedThisSend marks nodes that terminated during the send phase.
 	terminatedThisSend []bool
-	// pool is the persistent worker pool (Parallel mode only; nil otherwise);
-	// poolAbandoned marks that a deadline abort left a phase goroutine alive
-	// on it (or on the lanes' channels), so Run must not close either.
-	pool          *workerPool
-	poolAbandoned bool
+	// abandoned marks that a deadline abort left a phase goroutine alive on
+	// the lanes' channels, so Run must not close them.
+	abandoned bool
 
-	// lanes/laneOf/exch/shardStats/laneDone are the shard supervisor's state
-	// (Config.Shards; nil/empty on the single-engine path). lanes[s] is
-	// shard s's engine, laneOf maps node index to shard, exch is the
-	// boundary-batch fabric, shardStats the per-shard round ledgers, and
-	// laneDone the supervisor's barrier channel. See shard.go.
+	// lanes are the execution units (see shard.go); there is always at least
+	// one. laneOf/exch/shardStats/laneDone exist only with two or more
+	// lanes: laneOf maps node index to lane, exch is the boundary-batch
+	// fabric, shardStats the per-shard round ledgers, and laneDone the
+	// supervisor's barrier channel.
 	lanes      []*laneState
 	laneOf     []int32
 	exch       *shard.Exchange[slotMsg]
 	shardStats []ShardRoundStats
 	laneDone   chan struct{}
-	// sendFn/receiveFn are the phase functions, bound once so the per-round
-	// phase dispatch does not allocate method-value closures.
-	sendFn    func(int)
-	receiveFn func(int)
 
 	// maxMsgBits/localOnly accumulate Result.MaxMsgBits: the largest sized
 	// payload seen (-1 before any), and whether an unsized payload was seen.
@@ -603,7 +573,7 @@ func (s *idSorter) Less(a, b int) bool {
 }
 func (s *idSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
+func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shard.Partition) *state {
 	st := &state{
 		cfg:                cfg,
 		g:                  g,
@@ -621,19 +591,6 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
 		maxMsgBits:         -1,
 		trace:              cfg.Trace,
 	}
-	if cfg.Telemetry != nil {
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		st.telSend = cfg.Telemetry.RoundHistogram("send", shards)
-		st.telRoute = cfg.Telemetry.RoundHistogram("route", shards)
-		st.telReceive = cfg.Telemetry.RoundHistogram("receive", shards)
-		st.telRound = cfg.Telemetry.RoundHistogram("round", shards)
-	}
-	st.sendFn = st.sendPhase
-	st.receiveFn = st.receivePhase
-
 	// Build the ID-sorted CSR. When identifiers are the identity permutation
 	// (the common generator default), the graph's index-sorted adjacency is
 	// already ID-sorted and can be aliased without copying or sorting.
@@ -713,6 +670,14 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int) *state {
 			st.observedActive[i] = true
 		}
 	}
+	st.initLanes(part)
+	if cfg.Telemetry != nil {
+		lanes := len(st.lanes)
+		st.telSend = cfg.Telemetry.RoundHistogram("send", lanes)
+		st.telRoute = cfg.Telemetry.RoundHistogram("route", lanes)
+		st.telReceive = cfg.Telemetry.RoundHistogram("receive", lanes)
+		st.telRound = cfg.Telemetry.RoundHistogram("round", lanes)
+	}
 	return st
 }
 
@@ -766,9 +731,7 @@ func (st *state) beginRound(round int) {
 		}
 	}
 	st.actByID = st.actByID[:k]
-	if st.lanes != nil {
-		st.compactLanes()
-	}
+	st.compactLanes()
 }
 
 // searchIDs returns the position of id in the ascending slice a, or len(a)
@@ -804,10 +767,11 @@ func (st *state) callSend(i int) (outs []Out, ok bool) {
 	return st.mach[i].Send(&st.envs[i]), true
 }
 
-// callReceive is callSend's Receive-phase counterpart.
+// callReceive is callSend's Receive-phase counterpart; arena is the arena
+// of the lane owning node i.
 //
 //dgp:hotpath
-func (st *state) callReceive(i int) (ok bool) {
+func (st *state) callReceive(i int, arena []Msg) (ok bool) {
 	e := &st.envs[i]
 	e.inReceive = true
 	defer func() {
@@ -817,20 +781,8 @@ func (st *state) callReceive(i int) (ok bool) {
 				ErrMachinePanic, e.info.ID, e.round, r)
 		}
 	}()
-	st.mach[i].Receive(e, st.inboxFor(i)[st.inOff[i]:st.inFill[i]])
+	st.mach[i].Receive(e, arena[st.inOff[i]:st.inFill[i]])
 	return true
-}
-
-// inboxFor returns the arena holding node i's inbox region for this round:
-// the owning lane's arena on the multi-shard path, the global arena
-// otherwise (single-engine and 1-shard runs share st.inbox).
-//
-//dgp:hotpath
-func (st *state) inboxFor(i int) []Msg {
-	if len(st.lanes) > 1 {
-		return st.lanes[st.laneOf[i]].inMsgs
-	}
-	return st.inMsgs
 }
 
 //dgp:hotpath
@@ -904,12 +856,15 @@ func (st *state) sendPhase(i int) {
 	}
 }
 
+// receivePhase hands node i, owned by lane ls, its inbox region.
+//
 //dgp:hotpath
-func (st *state) receivePhase(i int) {
+func (ls *laneState) receivePhase(i int) {
+	st := ls.st
 	if st.terminatedThisSend[i] {
 		return
 	}
-	if !st.callReceive(i) {
+	if !st.callReceive(i, ls.inMsgs) {
 		return
 	}
 	if err := st.envs[i].err; err != nil {
@@ -917,189 +872,13 @@ func (st *state) receivePhase(i int) {
 	}
 }
 
-// route delivers this round's messages into the inbox arena in three
-// columnar passes, all on the engine's main goroutine in both modes:
-//
-//  1. counting — walk senders in ascending identifier order, apply the
-//     model-level drop rules, consult the adversary once per surviving
-//     message (recording its fate), book every delivery/drop ledger, and
-//     count arriving copies per destination;
-//  2. offsets — prefix-sum the counts over the live frontier into per-node
-//     arena regions;
-//  3. placement — walk the same sender order again, replaying recorded
-//     fates, and write messages into their regions by batch copy.
-//
-// Inbox regions come out sorted by sender identifier exactly as the legacy
-// per-message append routing produced them, and the adversary and trace
-// observe the identical per-message call and event sequence — the parity
-// and trace-golden tests pin both.
+// account books count delivered copies of payload: the round and result
+// message ledgers, and the MaxMsgBits / LOCAL-only accumulators. One call
+// covers a whole uniform batch.
 //
 //dgp:hotpath
-func (st *state) route(round int, res *Result) {
-	st.roundMsgs, st.roundBits = 0, 0
-	st.roundDropped, st.roundDroppedBits = 0, 0
-	st.roundInjected, st.roundInjectedBits = 0, 0
-	st.roundCorrupted = 0
-	adv := st.cfg.Adversary
-	tr := st.trace
-	clear(st.fateSwap)
-	st.fateCopies = st.fateCopies[:0]
-	st.fateSwap = st.fateSwap[:0]
-	total := 0
-	for _, si := range st.actByID {
-		i := int(si)
-		e := &st.envs[i]
-		from := e.info.ID
-		batchMsgs, batchBits := 0, 0
-		if e.bcastSet {
-			payload := e.bcast
-			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
-			if adv == nil {
-				// Uniform batch: count survivors, then account the whole
-				// neighbor range with a single payload-size lookup.
-				delivered := 0
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					st.inCnt[j]++
-					delivered++
-				}
-				if delivered > 0 {
-					total += delivered
-					st.account(payload, delivered, &batchMsgs, &batchBits, res)
-				}
-			} else {
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					copies, pl := st.consultAdversary(round, from, j, payload, res, tr)
-					if copies == 0 {
-						continue
-					}
-					st.inCnt[j] += int32(copies)
-					total += copies
-					st.account(pl, copies, &batchMsgs, &batchBits, res)
-				}
-			}
-		} else {
-			outs := e.outs
-			for k := range outs {
-				j := int(e.dst[k])
-				// Messages to nodes that already left the computation vanish;
-				// a node terminating during this round's send phase has, by
-				// the model, already assigned all outputs, so deliveries to
-				// it are moot and are dropped as well. The adversary is
-				// consulted only for messages that survive these rules.
-				if !st.frontier.test(j) || st.terminatedThisSend[j] {
-					continue
-				}
-				payload := outs[k].Payload
-				copies := 1
-				if adv != nil {
-					copies, payload = st.consultAdversary(round, from, j, payload, res, tr)
-					if copies == 0 {
-						continue
-					}
-				}
-				st.inCnt[j] += int32(copies)
-				total += copies
-				st.account(payload, copies, &batchMsgs, &batchBits, res)
-			}
-		}
-		st.roundMsgs += batchMsgs
-		st.roundBits += batchBits
-		if tr != nil && batchMsgs > 0 {
-			tr.Emit(obs.Event{Type: obs.EvBatch, Round: round, Node: from, Value: int64(batchMsgs), Aux: int64(batchBits)})
-		}
-	}
-
-	st.inMsgs = st.inbox.acquire(total)
-	cur := int32(0)
-	for _, si := range st.actByIdx {
-		i := int(si)
-		st.inOff[i] = cur
-		cur += st.inCnt[i]
-		st.inFill[i] = st.inOff[i]
-		st.inCnt[i] = 0
-	}
-
-	fi := 0
-	for _, si := range st.actByID {
-		i := int(si)
-		e := &st.envs[i]
-		from := e.info.ID
-		if e.bcastSet {
-			payload := e.bcast
-			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
-			if adv == nil {
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					st.inMsgs[st.inFill[j]] = Msg{From: from, Payload: payload}
-					st.inFill[j]++
-				}
-			} else {
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					fi = st.place(from, j, payload, fi)
-				}
-			}
-		} else {
-			outs := e.outs
-			for k := range outs {
-				j := int(e.dst[k])
-				if !st.frontier.test(j) || st.terminatedThisSend[j] {
-					continue
-				}
-				if adv == nil {
-					st.inMsgs[st.inFill[j]] = Msg{From: from, Payload: outs[k].Payload}
-					st.inFill[j]++
-					continue
-				}
-				fi = st.place(from, j, outs[k].Payload, fi)
-			}
-		}
-	}
-}
-
-// place writes one recorded-fate message into destination j's arena region
-// and returns the advanced fate cursor.
-//
-//dgp:hotpath
-func (st *state) place(from, j int, payload Payload, fi int) int {
-	copies := int(st.fateCopies[fi])
-	if swap := st.fateSwap[fi]; swap != nil {
-		payload = swap
-	}
-	fi++
-	if copies == 0 {
-		return fi
-	}
-	f := st.inFill[j]
-	for c := 0; c < copies; c++ {
-		st.inMsgs[f] = Msg{From: from, Payload: payload}
-		f++
-	}
-	st.inFill[j] = f
-	return fi
-}
-
-// account books count delivered copies of payload: the sender's trace batch,
-// the round and result message ledgers, and the MaxMsgBits / LOCAL-only
-// accumulators. One call covers a whole uniform batch.
-//
-//dgp:hotpath
-func (st *state) account(payload Payload, count int, batchMsgs, batchBits *int, res *Result) {
-	*batchMsgs += count
+func (st *state) account(payload Payload, count int, res *Result) {
+	st.roundMsgs += count
 	res.Messages += count
 	b := -1
 	if bs, ok := payload.(BitSized); ok {
@@ -1111,40 +890,21 @@ func (st *state) account(payload Payload, count int, batchMsgs, batchBits *int, 
 		st.localOnly = true
 		return
 	}
-	*batchBits += count * b
+	st.roundBits += count * b
 	if b > st.maxMsgBits {
 		st.maxMsgBits = b
 	}
 }
 
-// consultAdversary intercepts one in-flight message: it returns the
-// delivered copy count (0 = dropped) with the possibly-replaced payload,
-// books the adversary ledgers, emits the fault events, and records the fate
-// for the placement pass. The call sequence — senders by ascending
-// identifier, each sender's messages in send order — is identical in both
-// engine modes and identical to the legacy per-message router.
+// interceptFate is the adversary verdict core of the counting pass: one
+// Intercept call, the drop/corrupt/inject ledgers, and the fault events.
+// It returns the delivered copy count (0 = dropped), the payload to
+// deliver, and swap, the replacement payload (nil when untouched), which
+// countOne keeps for the placement pass.
 //
 //dgp:hotpath
-func (st *state) consultAdversary(round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload) {
-	copies, pl, swap := st.interceptFate(round, from, j, payload, res, tr)
-	if copies == 0 {
-		st.fateCopies = append(st.fateCopies, 0)
-		st.fateSwap = append(st.fateSwap, nil)
-		return 0, nil
-	}
-	st.fateCopies = append(st.fateCopies, int32(copies))
-	st.fateSwap = append(st.fateSwap, swap)
-	return copies, pl
-}
-
-// interceptFate is the adversary verdict core shared by the single-engine
-// and sharded counting passes: one Intercept call, the drop/corrupt/inject
-// ledgers, and the fault events. The caller records the returned fate
-// (copies; swap, nil when the payload was untouched) into its replay
-// stream.
-//
-//dgp:hotpath
-func (st *state) interceptFate(round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload, Payload) {
+func (st *state) interceptFate(round, from, j int, payload Payload, res *Result) (int, Payload, Payload) {
+	tr := st.trace
 	to := st.envs[j].info.ID
 	fate := st.cfg.Adversary.Intercept(round, from, to, payload)
 	if fate.Drop {
@@ -1277,18 +1037,18 @@ func (st *state) firstError() error {
 // phase executes one send or receive phase, under the round deadline when
 // one is configured. On a deadline hit the phase goroutine is abandoned (a
 // wedged machine cannot be preempted) and the run aborts with a diagnostic;
-// in pool mode the abandoned goroutine may still be mid-dispatch on the
-// pool, so the pool is abandoned (leaked) with it rather than closed
+// the abandoned goroutine may still be mid-dispatch on the lanes, so their
+// runners and pools are abandoned (leaked) with it rather than closed
 // underneath it — a deadline abort is terminal by contract.
-func (st *state) phase(fn func(int), round int, name string) error {
+func (st *state) phase(cmd laneCmd, round int, name string) error {
 	if st.cfg.RoundDeadline <= 0 {
-		st.runPhase(fn)
+		st.runPhase(cmd)
 		return nil
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st.runPhase(fn)
+		st.runPhase(cmd)
 	}()
 	timer := time.NewTimer(st.cfg.RoundDeadline)
 	defer timer.Stop()
@@ -1296,106 +1056,8 @@ func (st *state) phase(fn func(int), round int, name string) error {
 	case <-done:
 		return nil
 	case <-timer.C:
-		st.poolAbandoned = st.pool != nil || st.lanes != nil
+		st.abandoned = true
 		return fmt.Errorf("%w: %s phase of round %d ran past %v (%d nodes active); abandoning the run",
 			ErrRoundDeadline, name, round, st.cfg.RoundDeadline, st.activeCount)
-	}
-}
-
-// runPhase executes phase(i) for every node on the live frontier: across
-// the shard lanes in sharded mode, on the persistent pool in Parallel mode,
-// inline otherwise.
-//
-//dgp:hotpath
-func (st *state) runPhase(phase func(int)) {
-	if st.lanes != nil {
-		st.lanePhase(phase)
-		return
-	}
-	if st.pool != nil {
-		st.pool.run(phase, st.actByIdx)
-		return
-	}
-	for _, si := range st.actByIdx {
-		phase(int(si))
-	}
-}
-
-// poolTask is one phase dispatch to one worker: the phase function and the
-// worker's contiguous share of the frontier list.
-type poolTask struct {
-	phase func(int)
-	nodes []int32
-}
-
-// workerPool is a persistent pool of goroutines, created once per Run. Each
-// phase, run splits the live frontier list into contiguous per-worker ranges
-// of the shared columnar slabs and blocks until all workers signal done; run
-// acts as the inter-phase barrier, which realizes the synchronous round
-// structure without spawning a goroutine wave per phase per round.
-type workerPool struct {
-	work []chan poolTask
-	done chan struct{}
-}
-
-func newWorkerPool(n int) *workerPool {
-	return newWorkerPoolN(n, runtime.GOMAXPROCS(0))
-}
-
-// newWorkerPoolN builds a pool of at most workers goroutines for n nodes
-// (nil when one worker would remain — the caller runs inline). The sharded
-// engine uses it to split GOMAXPROCS across per-lane pools.
-func newWorkerPoolN(n, workers int) *workerPool {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return nil
-	}
-	p := &workerPool{done: make(chan struct{}, workers)}
-	for w := 0; w < workers; w++ {
-		ch := make(chan poolTask, 1)
-		p.work = append(p.work, ch)
-		go func(ch chan poolTask) {
-			for t := range ch {
-				for _, si := range t.nodes {
-					t.phase(int(si))
-				}
-				p.done <- struct{}{}
-			}
-		}(ch)
-	}
-	return p
-}
-
-// run executes phase on every worker's share of the frontier and returns
-// once all workers have finished (the barrier).
-//
-//dgp:hotpath
-func (p *workerPool) run(phase func(int), nodes []int32) {
-	chunk := (len(nodes) + len(p.work) - 1) / len(p.work)
-	if chunk < 1 {
-		chunk = 1
-	}
-	for w, ch := range p.work {
-		lo := w * chunk
-		if lo > len(nodes) {
-			lo = len(nodes)
-		}
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		ch <- poolTask{phase: phase, nodes: nodes[lo:hi]}
-	}
-	for range p.work {
-		<-p.done
-	}
-}
-
-// close shuts the workers down; the pool must not be used afterwards.
-func (p *workerPool) close() {
-	for _, ch := range p.work {
-		close(ch)
 	}
 }

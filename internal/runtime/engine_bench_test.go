@@ -136,10 +136,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		// the engine walks the CSR neighbor range directly.
 		{"seq-bcast", false, true, 0, 8},
 		{"par-bcast", true, true, 0, 16},
-		// Sharded modes: a single shard takes the legacy route through one
-		// lane and must hold the same ~0 figure; multi-shard rounds reuse the
-		// lane slabs, boundary-batch frames, and cursor streams, so steady
-		// state stays ~0 there too (the wider budget is barrier/GC noise).
+		// Sharded modes: one shard is the same single lane as seq and must
+		// hold the same ~0 figure; multi-shard rounds reuse the lane slabs,
+		// boundary-batch frames, and cursor streams, so steady state stays
+		// ~0 there too (the wider budget is barrier/GC noise).
 		{"shard1", false, false, 1, 8},
 		{"shard4", false, false, 4, 24},
 		{"shard4-par", true, false, 4, 32},

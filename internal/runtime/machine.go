@@ -6,14 +6,14 @@
 // local computation, optionally assigns its output, and terminates
 // immediately after producing its last output.
 //
-// The engine offers three execution modes with identical semantics: a
-// sequential mode; a parallel mode that runs the per-node send and receive
-// phases on a persistent pool of goroutines (created once per run, signalled
-// each phase, with a barrier between phases); and a sharded mode
-// (Config.Shards/Config.Partition, see shard.go) that splits the round loop
-// into per-shard lanes exchanging boundary-edge message batches at the round
-// barrier. All modes are deterministic and produce byte-identical results
-// and traces; tests and FuzzShardParity assert this. Engine buffers
+// The engine has one execution path: every run is S lanes (see shard.go),
+// each running the per-node send and receive phases over its own nodes with
+// a barrier between phases. A run without Config.Shards/Config.Partition is
+// one lane; with S >= 2 the lanes exchange boundary-edge message batches at
+// the round barrier. Config.Parallel gives every lane a persistent pool of
+// goroutines (created once per run, signalled each phase). Every lane count
+// and pool setting is deterministic and produces byte-identical results and
+// traces; golden digests, tests and FuzzShardParity assert this. Engine buffers
 // (inboxes, routing state, lane slabs, exchange frames) are recycled across
 // rounds, so steady-state rounds allocate nothing in the engine itself.
 //

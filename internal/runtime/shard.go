@@ -1,34 +1,38 @@
 package runtime
 
-// This file hosts the shard supervisor behind Config.Shards: S independent
-// shard engines ("lanes"), each owning a disjoint slice of the frontier, its
-// own inbox arena, and (in Parallel mode) its own worker pool, exchanging
-// boundary-edge message batches at the round barrier over the typed-channel
-// fabric in internal/shard.
+// This file hosts the engine's execution units ("lanes") and its one router.
+// Every run is S lanes over a node partition, each owning a disjoint slice
+// of the frontier, its own inbox arena and (in Parallel mode) its own inner
+// worker pool. A sequential or Parallel run without Shards/Partition is one
+// lane; Config.Shards or Config.Partition with S ≥ 2 gives S lanes that
+// exchange boundary-edge message batches at the round barrier over the
+// typed-channel fabric in internal/shard.
 //
 // The determinism contract — results, error surfaces, and trace streams
-// byte-identical for every shard count — rests on a strict division of
-// labor between the supervisor (Run's goroutine) and the lanes:
+// byte-identical for every lane count — rests on a strict division of labor
+// between the supervisor (Run's goroutine) and the lanes:
 //
 //   - Everything order-sensitive stays serial on the supervisor: the
 //     counting pass walks senders in global ascending-identifier order, so
-//     the adversary sees the exact call sequence of the single-engine
-//     router, the ledgers and EvBatch/EvFault events accrue identically,
-//     and every delivery's arena slot (destination region + within-region
-//     cursor) is fixed before any lane moves a byte.
+//     the adversary sees one fixed call sequence, the ledgers and
+//     EvBatch/EvFault events accrue identically, and every delivery's arena
+//     slot (destination region + within-region cursor) is fixed before any
+//     lane moves a byte.
 //   - Everything embarrassingly parallel fans out to the lanes: the machine
 //     send/receive phases, and the placement pass, where each lane replays
 //     its own senders' recorded fates, writes local deliveries straight
 //     into its own arena, and ships boundary deliveries — slot included —
 //     to the owning lane. Lanes write only their own arenas, so placement
 //     needs no locks, and because slots were assigned serially, the arena
-//     contents come out byte-identical to the single-engine layout no
-//     matter how the exchange interleaves.
+//     contents come out identical no matter how the exchange interleaves.
 //
-// A 1-shard run degenerates to the single-engine code path (legacy route,
-// global arena) dispatched through one lane, which is what makes the
-// 1-shard ≡ seq half of the parity contract exact rather than merely
-// equivalent.
+// Lane 0 always runs on the dispatching goroutine; lanes 1..S-1 each have a
+// runner goroutine. A one-lane run therefore has no runner at all, and it
+// needs no slots either: with every destination local, placement walks the
+// senders in the counting pass's order and fills each region at its inFill
+// cursor, so no slot stream, per-shard ledger, boundary staging or exchange
+// is kept. Its lists alias the global frontier lists instead of copying
+// them.
 
 import (
 	"runtime"
@@ -46,80 +50,87 @@ type slotMsg struct {
 	msg  Msg
 }
 
-// laneCmd is one unit of work dispatched to a lane runner: a machine phase
-// to run over the lane's frontier, or (nil phase) the placement pass.
-type laneCmd struct {
-	phase func(int)
-}
+// laneCmd is one unit of work dispatched to the lanes.
+type laneCmd uint8
 
-// laneState is one shard engine. The lane owns the shard's compact active
-// lists, its inbox arena, the replay streams for messages its nodes sent,
-// its boundary staging buffers, and a runner goroutine (plus an optional
-// inner worker pool) driven by the supervisor's command channel.
+const (
+	cmdSend laneCmd = iota
+	cmdReceive
+	cmdPlace
+)
+
+// laneState is one execution unit. The lane owns its compact active lists,
+// its inbox arena, the replay streams for messages its nodes sent, its
+// boundary staging buffers, an optional inner worker pool, and (lanes
+// 1..S-1) a runner goroutine driven by the supervisor's command channel.
 type laneState struct {
 	st *state
 	id int32
 	// actByIdx/actByID are the lane's active lists — the subsequences of the
-	// global lists owned by this shard, maintained in the same two orders
+	// global lists owned by this lane, maintained in the same two orders
 	// (node index for phase dispatch and arena layout, identifier for
-	// routing replay).
+	// routing replay). A single lane aliases the global lists.
 	actByIdx []int32
 	actByID  []int32
 	// inbox is the lane-local arena; inMsgs the slice acquired for the
 	// round. The global inOff/inFill carve it into per-node regions.
 	inbox  msgSlab
 	inMsgs []Msg
-	// total is the lane's delivery count for the round (set by counting).
-	total int
 	// fateCopies/fateSwap replay the adversary's verdicts for messages sent
-	// by this lane's nodes; within replays each surviving message's
-	// destination-region cursor. All three are appended by the supervisor's
-	// serial counting pass and consumed by this lane's placement pass.
+	// by this lane's nodes; within (multi-lane runs only) replays each
+	// surviving message's destination-region cursor. All three are appended
+	// by the supervisor's serial counting pass and consumed by this lane's
+	// placement pass.
 	fateCopies []int32
 	fateSwap   []Payload
 	within     []int32
 	// outB[d] stages boundary deliveries for lane d, reused across rounds
 	// (refilled only after the next round's counting barrier, per the
-	// Exchange handover contract).
+	// Exchange handover contract). nil on a one-lane run.
 	outB [][]slotMsg
-	// cmds drives the runner; the supervisor waits on st.laneDone after each
-	// dispatch wave — that wait is the intra-round barrier.
+	// cmds drives the runner (nil for lane 0, which runs on the
+	// dispatcher); the supervisor waits on st.laneDone after each dispatch
+	// wave — that wait is the intra-round barrier.
 	cmds chan laneCmd
 	// pool is the lane's inner worker pool (Parallel mode; nil otherwise).
 	pool *workerPool
 }
 
-// initLanes attaches the shard supervisor to a fresh state: one lane per
-// shard with its own active lists, arena, and runner goroutine, plus the
-// exchange fabric and per-shard ledgers for multi-shard runs. In Parallel
-// mode each lane gets an inner pool splitting GOMAXPROCS.
+// initLanes attaches the lanes to a fresh state: one lane without a
+// partition (or with a one-shard partition), else one lane per shard with
+// its own active lists, arena, and runner goroutine, plus the exchange
+// fabric and per-shard ledgers. In Parallel mode each lane gets an inner
+// pool of ⌈GOMAXPROCS/S⌉ workers.
 func (st *state) initLanes(part *shard.Partition) {
-	s := part.S
-	st.laneOf = part.Of
-	st.lanes = make([]*laneState, s)
-	st.laneDone = make(chan struct{}, s)
-	if s > 1 {
-		st.exch = shard.NewExchange[slotMsg](s)
-		st.shardStats = make([]ShardRoundStats, s)
+	s := 1
+	if part != nil {
+		s = part.S
 	}
 	workers := 0
 	if st.cfg.Parallel {
 		workers = (runtime.GOMAXPROCS(0) + s - 1) / s
 	}
+	st.lanes = make([]*laneState, s)
+	if s == 1 {
+		ls := st.newLane(0, st.n, workers)
+		ls.actByIdx, ls.actByID = st.actByIdx, st.actByID
+		return
+	}
+	st.laneOf = part.Of
+	st.laneDone = make(chan struct{}, s)
+	st.exch = shard.NewExchange[slotMsg](s)
+	st.shardStats = make([]ShardRoundStats, s)
 	for sh := 0; sh < s; sh++ {
 		nodes := part.Nodes[sh]
-		ls := &laneState{st: st, id: int32(sh), cmds: make(chan laneCmd, 1)}
+		ls := st.newLane(sh, len(nodes), workers)
 		ls.actByIdx = make([]int32, len(nodes))
 		copy(ls.actByIdx, nodes)
 		ls.actByID = make([]int32, 0, len(nodes))
-		if s > 1 {
-			ls.outB = make([][]slotMsg, s)
+		ls.outB = make([][]slotMsg, s)
+		if sh > 0 {
+			ls.cmds = make(chan laneCmd, 1)
+			go ls.run()
 		}
-		if workers > 1 {
-			ls.pool = newWorkerPoolN(len(nodes), workers)
-		}
-		st.lanes[sh] = ls
-		go ls.run()
 	}
 	// The lanes' identifier-order lists are the global list filtered by
 	// owner, preserving the global order within each lane.
@@ -129,47 +140,78 @@ func (st *state) initLanes(part *shard.Partition) {
 	}
 }
 
+// newLane registers lane id owning n nodes, with an inner pool of at most
+// workers goroutines.
+func (st *state) newLane(id, n, workers int) *laneState {
+	ls := &laneState{st: st, id: int32(id), pool: newWorkerPool(n, workers)}
+	st.lanes[id] = ls
+	return ls
+}
+
 // closeLanes shuts the lane runners and their pools down. Callable only
 // between barriers (no command in flight); Run skips it after a deadline
 // abort, which may have left the dispatching goroutine mid-send.
 func (st *state) closeLanes() {
 	for _, ls := range st.lanes {
-		close(ls.cmds)
+		if ls.cmds != nil {
+			close(ls.cmds)
+		}
 		if ls.pool != nil {
 			ls.pool.close()
 		}
 	}
 }
 
-// run is the lane's runner goroutine: it executes dispatched machine phases
-// over the lane's frontier (on the inner pool when present) and the
-// placement pass, signalling the supervisor's barrier after each command.
+// run is a runner goroutine: it executes dispatched commands and signals
+// the supervisor's barrier after each.
 func (ls *laneState) run() {
 	for cmd := range ls.cmds {
-		if cmd.phase != nil {
-			if ls.pool != nil {
-				ls.pool.run(cmd.phase, ls.actByIdx)
-			} else {
-				for _, si := range ls.actByIdx {
-					cmd.phase(int(si))
-				}
-			}
-		} else {
-			ls.place()
-		}
+		ls.exec(cmd)
 		ls.st.laneDone <- struct{}{}
 	}
 }
 
-// lanePhase runs one machine phase on every lane concurrently and waits for
-// all of them — the sharded engine's phase barrier.
+// exec performs one command on this lane: a machine phase over the lane's
+// frontier (on the inner pool when present) or the placement pass.
 //
 //dgp:hotpath
-func (st *state) lanePhase(phase func(int)) {
-	for _, ls := range st.lanes {
-		ls.cmds <- laneCmd{phase: phase}
+func (ls *laneState) exec(cmd laneCmd) {
+	switch {
+	case cmd == cmdPlace:
+		ls.place()
+	case ls.pool != nil:
+		ls.pool.run(ls, cmd, ls.actByIdx)
+	default:
+		ls.runNodes(cmd, ls.actByIdx)
 	}
-	for range st.lanes {
+}
+
+// runNodes runs the send or receive phase for nodes, a share of this
+// lane's frontier.
+//
+//dgp:hotpath
+func (ls *laneState) runNodes(cmd laneCmd, nodes []int32) {
+	for _, si := range nodes {
+		if cmd == cmdSend {
+			ls.st.sendPhase(int(si))
+		} else {
+			ls.receivePhase(int(si))
+		}
+	}
+}
+
+// runPhase runs one command on every lane and returns once all of them
+// finished — the engine's phase barrier. Lane 0 runs on the calling
+// goroutine while the runners execute the others.
+//
+//dgp:hotpath
+func (st *state) runPhase(cmd laneCmd) {
+	rest := st.lanes[1:]
+	for _, ls := range rest {
+		ls.cmds <- cmd
+	}
+	st.lanes[0].exec(cmd)
+	for range rest {
 		<-st.laneDone
 	}
 }
@@ -179,6 +221,11 @@ func (st *state) lanePhase(phase func(int)) {
 //
 //dgp:hotpath
 func (st *state) compactLanes() {
+	if len(st.lanes) == 1 {
+		ls := st.lanes[0]
+		ls.actByIdx, ls.actByID = st.actByIdx, st.actByID
+		return
+	}
 	for _, ls := range st.lanes {
 		k := 0
 		for _, si := range ls.actByIdx {
@@ -199,14 +246,25 @@ func (st *state) compactLanes() {
 	}
 }
 
-// routeSharded is the multi-shard router: the serial counting pass of the
-// single-engine route (identical adversary calls, ledgers, and events) plus
-// slot assignment and per-shard ledgers, then per-lane offsets, then the
-// concurrent placement-and-exchange pass on the lanes. See the file comment
-// for why this split preserves byte-identical arenas and traces.
+// routeLanes is the engine's router: it delivers this round's messages
+// into the lane arenas in three passes:
+//
+//  1. counting (serial, supervisor) — walk senders in ascending identifier
+//     order, apply the model-level drop rules, consult the adversary once
+//     per surviving message (recording its fate in the sending lane's
+//     stream), book every delivery/drop ledger, and count arriving copies
+//     per destination;
+//  2. offsets — per-lane prefix sums over each lane's frontier carve each
+//     lane's arena into per-node regions;
+//  3. placement (on the lanes) — each lane replays its senders' fates and
+//     fills the regions, exchanging boundary deliveries when S ≥ 2.
+//
+// Inbox regions come out sorted by sender identifier, and the adversary and
+// trace observe one per-message call and event sequence for every lane
+// count — the golden and parity tests pin both.
 //
 //dgp:hotpath
-func (st *state) routeSharded(round int, res *Result) {
+func (st *state) routeLanes(round int, res *Result) {
 	st.roundMsgs, st.roundBits = 0, 0
 	st.roundDropped, st.roundDroppedBits = 0, 0
 	st.roundInjected, st.roundInjectedBits = 0, 0
@@ -219,110 +277,127 @@ func (st *state) routeSharded(round int, res *Result) {
 		ls.fateCopies = ls.fateCopies[:0]
 		ls.fateSwap = ls.fateSwap[:0]
 		ls.within = ls.within[:0]
-		ls.total = 0
 	}
 	adv := st.cfg.Adversary
 	tr := st.trace
+	sl := st.lanes[0]
 	for _, si := range st.actByID {
 		i := int(si)
 		e := &st.envs[i]
 		from := e.info.ID
-		sl := st.lanes[st.laneOf[i]]
-		batchMsgs, batchBits := 0, 0
+		if st.laneOf != nil {
+			sl = st.lanes[st.laneOf[i]]
+		}
+		msgs0, bits0 := st.roundMsgs, st.roundBits
 		if e.bcastSet {
-			payload := e.bcast
-			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
-			if adv == nil {
-				delivered := 0
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					st.countShard(sl, j, 1, payload)
-					delivered++
-				}
-				if delivered > 0 {
-					st.account(payload, delivered, &batchMsgs, &batchBits, res)
-				}
-			} else {
-				for _, dj := range dsts {
-					j := int(dj)
-					if !st.frontier.test(j) || st.terminatedThisSend[j] {
-						continue
-					}
-					copies, pl := st.consultAdversaryLane(sl, round, from, j, payload, res, tr)
-					if copies == 0 {
-						continue
-					}
-					st.countShard(sl, j, copies, pl)
-					st.account(pl, copies, &batchMsgs, &batchBits, res)
-				}
-			}
-		} else {
-			outs := e.outs
-			for k := range outs {
-				j := int(e.dst[k])
+			delivered := 0
+			for _, dj := range st.csrNbr[st.csrOff[i]:st.csrOff[i+1]] {
+				j := int(dj)
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				payload := outs[k].Payload
-				copies := 1
+				if adv == nil {
+					// Uniform batch: count survivors, then account the
+					// whole neighbor range with a single payload-size lookup.
+					st.count(sl, j, 1, e.bcast)
+					delivered++
+					continue
+				}
+				copies, pl := st.recordFate(sl, round, from, j, e.bcast, res)
+				if copies > 0 {
+					st.count(sl, j, copies, pl)
+					st.account(pl, copies, res)
+				}
+			}
+			if delivered > 0 {
+				st.account(e.bcast, delivered, res)
+			}
+		} else {
+			for k, out := range e.outs {
+				j := int(e.dst[k])
+				// Messages to nodes that already left the computation vanish;
+				// a node terminating during this round's send phase has, by
+				// the model, already assigned all outputs, so deliveries to
+				// it are moot and are dropped as well. The adversary is
+				// consulted only for messages that survive these rules.
+				if !st.frontier.test(j) || st.terminatedThisSend[j] {
+					continue
+				}
+				copies, pl := 1, out.Payload
 				if adv != nil {
-					copies, payload = st.consultAdversaryLane(sl, round, from, j, payload, res, tr)
+					copies, pl = st.recordFate(sl, round, from, j, pl, res)
 					if copies == 0 {
 						continue
 					}
 				}
-				st.countShard(sl, j, copies, payload)
-				st.account(payload, copies, &batchMsgs, &batchBits, res)
+				st.count(sl, j, copies, pl)
+				st.account(pl, copies, res)
 			}
 		}
-		st.roundMsgs += batchMsgs
-		st.roundBits += batchBits
-		if tr != nil && batchMsgs > 0 {
-			tr.Emit(obs.Event{Type: obs.EvBatch, Round: round, Node: from, Value: int64(batchMsgs), Aux: int64(batchBits)})
+		if tr != nil && st.roundMsgs > msgs0 {
+			tr.Emit(obs.Event{Type: obs.EvBatch, Round: round, Node: from, Value: int64(st.roundMsgs - msgs0), Aux: int64(st.roundBits - bits0)})
 		}
 	}
 
-	// Offsets: per-lane prefix sums over each lane's frontier carve each
-	// lane's arena; region layout within a lane matches the single-engine
-	// layout restricted to the lane's nodes.
+	// Offsets: region layout within a lane matches the global layout
+	// restricted to the lane's nodes, and the prefix sum's end sizes the
+	// lane's arena. One lane fills each region at its inFill cursor, so the
+	// cursor starts at the region head; several lanes write at recorded
+	// slots, so inFill is the region end from the start.
+	multi := st.exch != nil
 	for _, ls := range st.lanes {
-		ls.inMsgs = ls.inbox.acquire(ls.total)
 		cur := int32(0)
 		for _, si := range ls.actByIdx {
 			i := int(si)
 			st.inOff[i] = cur
-			cur += st.inCnt[i]
 			st.inFill[i] = cur
+			cur += st.inCnt[i]
+			if multi {
+				st.inFill[i] = cur
+			}
 			st.inCnt[i] = 0
 		}
+		ls.inMsgs = ls.inbox.acquire(int(cur))
 	}
 
-	// Placement and exchange: every lane concurrently replays its senders'
-	// fates and fills the arenas (laneCmd zero value selects place).
-	for _, ls := range st.lanes {
-		ls.cmds <- laneCmd{}
-	}
-	for range st.lanes {
-		<-st.laneDone
-	}
-
+	st.runPhase(cmdPlace)
 	st.emitShardLedgers(round)
 }
 
-// countShard books one surviving message during the sharded counting pass:
-// the slot cursor for the sender's replay stream, the destination's region
-// count and lane total, and the per-shard delivered/injected/boundary
-// ledgers.
+// recordFate intercepts one in-flight message and records the verdict in
+// the sending lane's replay stream for the placement pass. It returns the
+// delivered copy count (0 = dropped) with the possibly-replaced payload.
+//
+//dgp:hotpath
+func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, res *Result) (int, Payload) {
+	copies, pl, swap := st.interceptFate(round, from, j, payload, res)
+	ls.fateCopies = append(ls.fateCopies, int32(copies))
+	ls.fateSwap = append(ls.fateSwap, swap)
+	return copies, pl
+}
+
+// count books one surviving delivery of copies messages to j: the
+// destination's region count, plus, on multi-lane runs, the slot cursor
+// and the per-shard ledgers.
+//
+//dgp:hotpath
+func (st *state) count(src *laneState, j, copies int, payload Payload) {
+	if st.exch != nil {
+		st.countShard(src, j, copies, payload)
+		return
+	}
+	st.inCnt[j] += int32(copies)
+}
+
+// countShard is count's multi-lane half: the slot cursor for the sender's
+// replay stream, the destination's region count, and the per-shard
+// delivered/injected/boundary ledgers.
 //
 //dgp:hotpath
 func (st *state) countShard(src *laneState, j, copies int, payload Payload) {
 	dst := st.laneOf[j]
 	src.within = append(src.within, st.inCnt[j])
 	st.inCnt[j] += int32(copies)
-	st.lanes[dst].total += copies
 	b := 0
 	if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
 		b = bs.Bits()
@@ -341,27 +416,12 @@ func (st *state) countShard(src *laneState, j, copies int, payload Payload) {
 	}
 }
 
-// consultAdversaryLane is consultAdversary recording the fate into the
-// sending lane's replay stream instead of the global one.
-//
-//dgp:hotpath
-func (st *state) consultAdversaryLane(ls *laneState, round, from, j int, payload Payload, res *Result, tr *obs.Recorder) (int, Payload) {
-	copies, pl, swap := st.interceptFate(round, from, j, payload, res, tr)
-	if copies == 0 {
-		ls.fateCopies = append(ls.fateCopies, 0)
-		ls.fateSwap = append(ls.fateSwap, nil)
-		return 0, nil
-	}
-	ls.fateCopies = append(ls.fateCopies, int32(copies))
-	ls.fateSwap = append(ls.fateSwap, swap)
-	return copies, pl
-}
-
-// place is the lane's placement-and-exchange pass: replay the counting
-// pass's verdicts over this lane's senders, write local deliveries straight
-// into the lane arena, stage boundary deliveries per destination lane, then
-// post the batches and drain the inbound ones into their precomputed slots.
-// Runs concurrently across lanes; each lane writes only its own arena.
+// place is the lane's placement pass: replay the counting pass's verdicts
+// over this lane's senders and write every delivery into its region. On a
+// multi-lane run local deliveries go straight into the lane arena, boundary
+// deliveries are staged per destination lane, and the lane then posts its
+// batches and drains the inbound ones into their precomputed slots. Runs
+// concurrently across lanes; each lane writes only its own arena.
 //
 //dgp:hotpath
 func (ls *laneState) place() {
@@ -372,56 +432,47 @@ func (ls *laneState) place() {
 		clear(ls.outB[d])
 		ls.outB[d] = ls.outB[d][:0]
 	}
-	adv := st.cfg.Adversary != nil
+	multi := st.exch != nil
+	// direct: one lane and no adversary, so every message is delivered
+	// once, locally, and lands at its destination's inFill cursor.
+	direct := !multi && st.cfg.Adversary == nil
+	arena := ls.inMsgs
 	fi, wi := 0, 0
 	for _, si := range ls.actByID {
 		i := int(si)
 		e := &st.envs[i]
 		from := e.info.ID
 		if e.bcastSet {
-			payload := e.bcast
-			dsts := st.csrNbr[st.csrOff[i]:st.csrOff[i+1]]
-			for _, dj := range dsts {
+			m := Msg{From: from, Payload: e.bcast}
+			for _, dj := range st.csrNbr[st.csrOff[i]:st.csrOff[i+1]] {
 				j := int(dj)
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				pl := payload
-				copies := 1
-				if adv {
-					copies = int(ls.fateCopies[fi])
-					if swap := ls.fateSwap[fi]; swap != nil {
-						pl = swap
-					}
-					fi++
-					if copies == 0 {
-						continue
-					}
+				if direct {
+					arena[st.inFill[j]] = m
+					st.inFill[j]++
+					continue
 				}
-				wi = ls.deliver(j, Msg{From: from, Payload: pl}, copies, wi)
+				fi, wi = ls.put(j, m, fi, wi)
 			}
 		} else {
-			outs := e.outs
-			for k := range outs {
+			for k, out := range e.outs {
 				j := int(e.dst[k])
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				pl := outs[k].Payload
-				copies := 1
-				if adv {
-					copies = int(ls.fateCopies[fi])
-					if swap := ls.fateSwap[fi]; swap != nil {
-						pl = swap
-					}
-					fi++
-					if copies == 0 {
-						continue
-					}
+				if direct {
+					arena[st.inFill[j]] = Msg{From: from, Payload: out.Payload}
+					st.inFill[j]++
+					continue
 				}
-				wi = ls.deliver(j, Msg{From: from, Payload: pl}, copies, wi)
+				fi, wi = ls.put(j, Msg{From: from, Payload: out.Payload}, fi, wi)
 			}
 		}
+	}
+	if !multi {
+		return
 	}
 	self := int(ls.id)
 	for d := range st.lanes {
@@ -436,10 +487,41 @@ func (ls *laneState) place() {
 	}
 }
 
-// deliver writes copies of m for destination j at the slot the counting
-// pass recorded for this sender stream — directly into the lane arena when
-// j is local, staged for the boundary exchange otherwise. Returns the
-// advanced within-cursor.
+// put places one surviving message outside the direct case: it replays
+// the recorded fate under an adversary (copies, replacement payload), then
+// writes the copies at j's inFill cursor on one lane or through deliver on
+// several. It returns the advanced fate and within cursors.
+//
+//dgp:hotpath
+func (ls *laneState) put(j int, m Msg, fi, wi int) (int, int) {
+	st := ls.st
+	copies := 1
+	if st.cfg.Adversary != nil {
+		copies = int(ls.fateCopies[fi])
+		if swap := ls.fateSwap[fi]; swap != nil {
+			m.Payload = swap
+		}
+		fi++
+	}
+	if copies == 0 {
+		return fi, wi
+	}
+	if st.exch != nil {
+		return fi, ls.deliver(j, m, copies, wi)
+	}
+	f := st.inFill[j]
+	for c := 0; c < copies; c++ {
+		ls.inMsgs[f] = m
+		f++
+	}
+	st.inFill[j] = f
+	return fi, wi
+}
+
+// deliver is the multi-lane placement: it writes copies of m for
+// destination j at the slot the counting pass recorded for this sender
+// stream — directly into the lane arena when j is local, staged for the
+// boundary exchange otherwise — and returns the advanced within-cursor.
 //
 //dgp:hotpath
 func (ls *laneState) deliver(j int, m Msg, copies, wi int) int {
@@ -466,7 +548,8 @@ func (ls *laneState) deliver(j int, m Msg, copies, wi int) int {
 // EvShardExchange events, shards ascending, skipping zero entries: one
 // "delivered" (and "injected" under duplication) event per shard that
 // received traffic, one "boundary" per shard that exported any. Emitted
-// from the supervisor strictly after the placement barrier.
+// from the supervisor strictly after the placement barrier; a one-lane run
+// keeps no per-shard ledgers and emits none.
 func (st *state) emitShardLedgers(round int) {
 	if st.trace == nil {
 		return
@@ -482,5 +565,79 @@ func (st *state) emitShardLedgers(round int) {
 		if ss.BoundaryOut > 0 {
 			st.trace.Emit(obs.Event{Type: obs.EvShardExchange, Round: round, Node: s, Name: "boundary", Value: int64(ss.BoundaryOut), Aux: int64(ss.BoundaryOutBits)})
 		}
+	}
+}
+
+// poolTask is one phase dispatch to one worker: the lane, the phase, and
+// the worker's contiguous share of the lane's frontier list.
+type poolTask struct {
+	ls    *laneState
+	cmd   laneCmd
+	nodes []int32
+}
+
+// workerPool is a lane's persistent pool of goroutines, created once per
+// Run. Each phase, run splits the lane's frontier list into contiguous
+// per-worker ranges of the shared columnar slabs and blocks until all
+// workers signal done; run acts as the inter-phase barrier, which realizes
+// the synchronous round structure without spawning a goroutine wave per
+// phase per round.
+type workerPool struct {
+	work []chan poolTask
+	done chan struct{}
+}
+
+// newWorkerPool builds a pool of at most workers goroutines for n nodes
+// (nil when one worker would remain — the lane runs its nodes itself).
+func newWorkerPool(n, workers int) *workerPool {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		return nil
+	}
+	p := &workerPool{done: make(chan struct{}, workers)}
+	for w := 0; w < workers; w++ {
+		ch := make(chan poolTask, 1)
+		p.work = append(p.work, ch)
+		go func(ch chan poolTask) {
+			for t := range ch {
+				t.ls.runNodes(t.cmd, t.nodes)
+				p.done <- struct{}{}
+			}
+		}(ch)
+	}
+	return p
+}
+
+// run executes lane ls's cmd phase on every worker's share of nodes and
+// returns once all workers have finished (the barrier).
+//
+//dgp:hotpath
+func (p *workerPool) run(ls *laneState, cmd laneCmd, nodes []int32) {
+	chunk := (len(nodes) + len(p.work) - 1) / len(p.work)
+	if chunk < 1 {
+		chunk = 1
+	}
+	for w, ch := range p.work {
+		lo := w * chunk
+		if lo > len(nodes) {
+			lo = len(nodes)
+		}
+		hi := lo + chunk
+		if hi > len(nodes) {
+			hi = len(nodes)
+		}
+		ch <- poolTask{ls: ls, cmd: cmd, nodes: nodes[lo:hi]}
+	}
+	for range p.work {
+		<-p.done
+	}
+}
+
+// close shuts the workers down; the pool must not be used afterwards.
+func (p *workerPool) close() {
+	for _, ch := range p.work {
+		close(ch)
 	}
 }

@@ -6,11 +6,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/runtime"
+	"repro/internal/shard"
 )
 
 // TestEngineTelemetryPhases checks that an attached Telemetry records one
-// observation per round in each phase histogram, for the seq, pool, and
-// sharded engines, and that attaching it changes no result.
+// observation per round in each phase histogram, for one lane (sequential
+// and Parallel) and four lanes (from Shards or from a Partition), that the
+// shards label carries the lane count, and that attaching it changes no
+// result.
 func TestEngineTelemetryPhases(t *testing.T) {
 	const n, rounds = 64, 5
 	g := graph.Ring(n)
@@ -18,17 +21,21 @@ func TestEngineTelemetryPhases(t *testing.T) {
 		name     string
 		parallel bool
 		shards   int
+		part     *shard.Partition
+		lanes    int
 	}{
-		{"seq", false, 0},
-		{"par", true, 0},
-		{"shard4", false, 4},
+		{"seq", false, 0, nil, 1},
+		{"par", true, 0, nil, 1},
+		{"shard4", false, 4, nil, 4},
+		{"partition4", false, 0, shard.Contiguous(n, 4), 4},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			bare, err := runtime.Run(runtime.Config{
-				Graph:    g,
-				Factory:  ringBenchFactory(rounds, false),
-				Parallel: mode.parallel,
-				Shards:   mode.shards,
+				Graph:     g,
+				Factory:   ringBenchFactory(rounds, false),
+				Parallel:  mode.parallel,
+				Shards:    mode.shards,
+				Partition: mode.part,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -39,6 +46,7 @@ func TestEngineTelemetryPhases(t *testing.T) {
 				Factory:   ringBenchFactory(rounds, false),
 				Parallel:  mode.parallel,
 				Shards:    mode.shards,
+				Partition: mode.part,
 				Telemetry: tel,
 			})
 			if err != nil {
@@ -52,10 +60,6 @@ func TestEngineTelemetryPhases(t *testing.T) {
 			if len(snap.Histograms) != 4 {
 				t.Fatalf("want 4 phase histograms, got %d", len(snap.Histograms))
 			}
-			shards := mode.shards
-			if shards < 1 {
-				shards = 1
-			}
 			seen := map[string]bool{}
 			for _, h := range snap.Histograms {
 				if h.Count != uint64(res.Rounds) {
@@ -64,7 +68,7 @@ func TestEngineTelemetryPhases(t *testing.T) {
 				seen[h.Name] = true
 			}
 			for _, phase := range []string{"send", "route", "receive", "round"} {
-				want := `dgp_round_seconds{phase="` + phase + `",shards="` + itoa(shards) + `"}`
+				want := `dgp_round_seconds{phase="` + phase + `",shards="` + itoa(mode.lanes) + `"}`
 				if !seen[want] {
 					t.Errorf("missing series %s (have %v)", want, seen)
 				}
