@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures fmt vet fuzz-smoke list trace-golden alloc-guard bench-smoke dynamic-smoke shard-smoke perf-ledger perf-gate perf-baseline all
+.PHONY: build test race lint lint-fixtures fmt vet fuzz-smoke list examples-smoke trace-golden alloc-guard bench-smoke dynamic-smoke shard-smoke perf-ledger perf-gate perf-baseline all
 
 all: build lint test
 
@@ -16,6 +16,15 @@ race:
 # The problem/algorithm registry (also the README's algorithm table).
 list:
 	$(GO) run ./cmd/dgp-run -list
+
+# The library surface end to end: run the fast example programs, each of
+# which exits non-zero on any run or verification error. quickstart and
+# grid-bw take tens of seconds, so they stay build-only (`make build`).
+examples-smoke:
+	$(GO) run ./examples/all-problems
+	$(GO) run ./examples/network-update
+	$(GO) run ./examples/rooted-tree
+	$(GO) run ./examples/tradeoff
 
 # Domain analyzers (internal/analysis, driven by cmd/dgp-lint): map-order
 # determinism, seeded randomness, machine purity, CONGEST payload sizing,

@@ -53,7 +53,7 @@ func BenchmarkE22CheckingCost(b *testing.B)       { benchExperiment(b, "E22") }
 // algorithm performance tracking (rounds are fixed by determinism; this
 // measures simulator throughput).
 
-func benchMIS(b *testing.B, n int, alg repro.MISAlgorithm, flips int, parallel bool) {
+func benchMIS(b *testing.B, n int, alg string, flips int, parallel bool) {
 	b.Helper()
 	g := repro.GNP(n, 8.0/float64(n), repro.NewRand(1))
 	preds := repro.FlipBits(repro.PerfectMIS(g), flips, repro.NewRand(2))
@@ -61,18 +61,18 @@ func benchMIS(b *testing.B, n int, alg repro.MISAlgorithm, flips int, parallel b
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunMIS(g, preds, alg, opts); err != nil {
+		if _, err := repro.RunProblem(g, "mis", alg, preds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEngineSimple1k(b *testing.B)    { benchMIS(b, 1000, repro.MISSimple, 50, false) }
-func BenchmarkEngineSimple1kPar(b *testing.B) { benchMIS(b, 1000, repro.MISSimple, 50, true) }
+func BenchmarkEngineSimple1k(b *testing.B)    { benchMIS(b, 1000, "simple", 50, false) }
+func BenchmarkEngineSimple1kPar(b *testing.B) { benchMIS(b, 1000, "simple", 50, true) }
 func BenchmarkEngineParallelTemplate1k(b *testing.B) {
-	benchMIS(b, 1000, repro.MISParallelColoring, 50, false)
+	benchMIS(b, 1000, "parallel", 50, false)
 }
-func BenchmarkEngineGreedy4k(b *testing.B) { benchMIS(b, 4000, repro.MISGreedy, 0, false) }
+func BenchmarkEngineGreedy4k(b *testing.B) { benchMIS(b, 4000, "greedy", 0, false) }
 
 // Engine throughput through the public API: greedy MIS on a shuffled-ID
 // 4096-node ring (O(log n) expected rounds), both engine modes. The
@@ -86,7 +86,7 @@ func benchEngineRing(b *testing.B, parallel bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunMIS(g, nil, repro.MISGreedy, opts); err != nil {
+		if _, err := repro.RunProblem(g, "mis", "greedy", nil, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/check"
+	"repro/internal/problem"
 	"repro/internal/runtime"
 )
 
@@ -43,27 +44,18 @@ func runChecker(g *Graph, factory runtime.Factory, preds []any, opts Options) (*
 	return out, nil
 }
 
-// CheckMIS runs the two-round distributed MIS checker: AllAccept iff preds
-// is a maximal independent set of g.
-func CheckMIS(g *Graph, preds []int, opts Options) (*CheckResult, error) {
-	return runChecker(g, check.MIS(), intPreds(preds), opts)
-}
-
-// CheckMatching runs the two-round distributed maximal-matching checker.
-func CheckMatching(g *Graph, preds []int, opts Options) (*CheckResult, error) {
-	return runChecker(g, check.Matching(), intPreds(preds), opts)
-}
-
-// CheckVColor runs the distributed (Δ+1)-coloring checker.
-func CheckVColor(g *Graph, preds []int, opts Options) (*CheckResult, error) {
-	return runChecker(g, check.VColor(), intPreds(preds), opts)
-}
-
-// CheckEColor runs the distributed (2Δ−1)-edge-coloring checker.
-func CheckEColor(g *Graph, preds []EdgePrediction, opts Options) (*CheckResult, error) {
-	anyPreds := make([]any, len(preds))
-	for i, p := range preds {
-		anyPreds[i] = []int(p)
+// CheckPredictions runs the problem's constant-round distributed checker
+// (Section 1.3) on a candidate solution given in the problem's prediction
+// type ([]int, or []EdgePrediction for edge coloring): AllAccept iff preds
+// is a correct solution of g.
+func CheckPredictions(g *Graph, problemName string, preds any, opts Options) (*CheckResult, error) {
+	d, err := problem.Get(problemName)
+	if err != nil {
+		return nil, err
 	}
-	return runChecker(g, check.EColor(), anyPreds, opts)
+	encoded, err := d.EncodePreds(preds)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return runChecker(g, d.Checker(), encoded, opts)
 }

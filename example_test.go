@@ -6,21 +6,21 @@ import (
 	"repro"
 )
 
-// ExampleRunMIS runs the Corollary 12 algorithm on a ring whose predictions
+// ExampleRunProblem runs the Corollary 12 algorithm on a ring whose predictions
 // contain one error: the two adjacent prediction-1 nodes form the only error
 // component, so the algorithm finishes within a few rounds of the
 // consistency bound.
-func ExampleRunMIS() {
+func ExampleRunProblem() {
 	g := repro.Ring(12)
 	preds := repro.PerfectMIS(g)
 	preds[1] = 1 // corrupt one bit
 
-	res, err := repro.RunMIS(g, preds, repro.MISParallelColoring, repro.Options{})
+	res, err := repro.RunProblem(g, "mis", "parallel", preds, repro.Options{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("valid:", len(res.InSet) == g.N())
+	fmt.Println("valid:", len(res.Output) == g.N())
 	fmt.Println("rounds <= 7:", res.Run.Rounds <= 7)
 	// Output:
 	// valid: true
@@ -50,7 +50,7 @@ func ExampleMISErrorReport() {
 func ExampleRunTreeMIS() {
 	r := repro.DirectedLine(30)
 	preds := repro.Mod3Line(10)
-	res, err := repro.RunTreeMIS(r, preds, repro.TreeSimple, repro.Options{})
+	res, err := repro.RunTreeMIS(r, "simple", preds, repro.Options{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -62,11 +62,11 @@ func ExampleRunTreeMIS() {
 	// rounds: 3
 }
 
-// ExampleRunMIS_congest runs the Greedy algorithm under an enforced CONGEST
-// bandwidth budget — its constant-size notifications fit easily.
-func ExampleRunMIS_congest() {
+// ExampleRunProblem_congest runs the Greedy algorithm under an enforced
+// CONGEST bandwidth budget — its constant-size notifications fit easily.
+func ExampleRunProblem_congest() {
 	g := repro.Ring(64)
-	res, err := repro.RunMIS(g, nil, repro.MISGreedy, repro.Options{CongestBits: 32})
+	res, err := repro.RunProblem(g, "mis", "greedy", nil, repro.Options{CongestBits: 32})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -76,11 +76,12 @@ func ExampleRunMIS_congest() {
 	// max message bits <= 32: true
 }
 
-// ExampleRunMatching solves maximal matching reusing a perfect prediction.
-func ExampleRunMatching() {
+// ExampleRunProblem_matching solves maximal matching reusing a perfect
+// prediction.
+func ExampleRunProblem_matching() {
 	g := repro.Line(8)
 	preds := repro.PerfectMatching(g)
-	res, err := repro.RunMatching(g, preds, repro.MatchingSimple, repro.Options{})
+	res, err := repro.RunProblem(g, "matching", "simple", preds, repro.Options{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -90,13 +91,13 @@ func ExampleRunMatching() {
 	// rounds: 2
 }
 
-// ExampleRunMIS_onRoundStats streams the engine's per-round instrumentation
-// (wall time, deliveries, payload bits) to library code via
+// ExampleRunProblem_onRoundStats streams the engine's per-round
+// instrumentation (wall time, deliveries, payload bits) to library code via
 // Options.OnRoundStats.
-func ExampleRunMIS_onRoundStats() {
+func ExampleRunProblem_onRoundStats() {
 	g := repro.Line(8)
 	var rounds, messages int
-	res, err := repro.RunMIS(g, repro.PerfectMIS(g), repro.MISSimple, repro.Options{
+	res, err := repro.RunProblem(g, "mis", "simple", repro.PerfectMIS(g), repro.Options{
 		OnRoundStats: func(s repro.RoundStats) {
 			rounds++
 			messages += s.Messages
@@ -113,12 +114,12 @@ func ExampleRunMIS_onRoundStats() {
 	// per-round messages sum to total: true
 }
 
-// ExampleRunWithRecovery heals a chaos-damaged MIS run: the faulted outputs
-// are carved into an extendable partial solution and the paper's clean-up
-// machinery extends it back to a verified maximal independent set.
-func ExampleRunWithRecovery() {
+// ExampleRunProblemWithRecovery heals a chaos-damaged MIS run: the faulted
+// outputs are carved into an extendable partial solution and the paper's
+// clean-up machinery extends it back to a verified maximal independent set.
+func ExampleRunProblemWithRecovery() {
 	g := repro.GNP(40, 0.15, repro.NewRand(2))
-	res, err := repro.RunWithRecovery(g, repro.ProblemMIS, nil, repro.Options{
+	res, err := repro.RunProblemWithRecovery(g, "mis", nil, repro.Options{
 		MaxRounds: 150,
 		Adversary: repro.NewChaos(repro.ChaosPolicy{Seed: 5, Drop: 0.45, Crash: 0.1}),
 	})

@@ -29,11 +29,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	misSimple, err := repro.RunMIS(g, misPreds, repro.MISSimple, repro.Options{})
+	misSimple, err := repro.RunProblem(g, "mis", "simple", misPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
-	misParallel, err := repro.RunMIS(g, misPreds, repro.MISParallelColoring, repro.Options{})
+	misParallel, err := repro.RunProblem(g, "mis", "parallel", misPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
@@ -41,11 +41,11 @@ func run() error {
 
 	// Maximal matching.
 	mPreds := repro.PerturbMatching(g, repro.PerfectMatching(g), 12, repro.NewRand(2))
-	mSimple, err := repro.RunMatching(g, mPreds, repro.MatchingSimple, repro.Options{})
+	mSimple, err := repro.RunProblem(g, "matching", "simple", mPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
-	mParallel, err := repro.RunMatching(g, mPreds, repro.MatchingParallel, repro.Options{})
+	mParallel, err := repro.RunProblem(g, "matching", "parallel", mPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
@@ -54,11 +54,11 @@ func run() error {
 
 	// Vertex coloring.
 	vPreds := repro.PerturbVColor(g, repro.PerfectVColor(g), 12, repro.NewRand(3))
-	vSimple, err := repro.RunVColor(g, vPreds, repro.VColorSimple, repro.Options{})
+	vSimple, err := repro.RunProblem(g, "vcolor", "simple", vPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
-	vParallel, err := repro.RunVColor(g, vPreds, repro.VColorParallel, repro.Options{})
+	vParallel, err := repro.RunProblem(g, "vcolor", "parallel", vPreds, repro.Options{})
 	if err != nil {
 		return err
 	}
@@ -67,11 +67,11 @@ func run() error {
 
 	// Edge coloring.
 	ePreds := repro.PerturbEColor(g, repro.PerfectEColor(g), 12, repro.NewRand(4))
-	eSimple, err := repro.RunEColor(g, ePreds, repro.EColorSimple, repro.Options{})
+	eSimple, err := repro.RunProblem(g, "ecolor", "simple", ePreds, repro.Options{})
 	if err != nil {
 		return err
 	}
-	eParallel, err := repro.RunEColor(g, ePreds, repro.EColorParallel, repro.Options{})
+	eParallel, err := repro.RunProblem(g, "ecolor", "parallel", ePreds, repro.Options{})
 	if err != nil {
 		return err
 	}
@@ -81,10 +81,10 @@ func run() error {
 	// The distributed checkers (constant rounds) report whether each
 	// prediction set was already a correct solution.
 	fmt.Println("\n2-round local verification of the predictions:")
-	cm, _ := repro.CheckMIS(g, misPreds, repro.Options{})
-	cmm, _ := repro.CheckMatching(g, mPreds, repro.Options{})
-	cv, _ := repro.CheckVColor(g, vPreds, repro.Options{})
-	ce, _ := repro.CheckEColor(g, ePreds, repro.Options{})
+	cm, _ := repro.CheckPredictions(g, "mis", misPreds, repro.Options{})
+	cmm, _ := repro.CheckPredictions(g, "matching", mPreds, repro.Options{})
+	cv, _ := repro.CheckPredictions(g, "vcolor", vPreds, repro.Options{})
+	ce, _ := repro.CheckPredictions(g, "ecolor", ePreds, repro.Options{})
 	fmt.Printf("mis accept=%v  matching accept=%v  vcolor accept=%v  ecolor accept=%v\n",
 		cm.AllAccept, cmm.AllAccept, cv.AllAccept, ce.AllAccept)
 	return nil

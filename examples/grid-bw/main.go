@@ -27,11 +27,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		greedy, err := repro.RunMIS(g, preds, repro.MISSimpleBase, repro.Options{})
+		greedy, err := repro.RunProblem(g, "mis", "base", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
-		bw, err := repro.RunMIS(g, preds, repro.MISSimpleBW, repro.Options{})
+		bw, err := repro.RunProblem(g, "mis", "bw", preds, repro.Options{})
 		if err != nil {
 			return err
 		}

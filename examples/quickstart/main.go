@@ -31,15 +31,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		simple, err := repro.RunMIS(g, preds, repro.MISSimple, repro.Options{})
+		simple, err := repro.RunProblem(g, "mis", "simple", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
-		parallel, err := repro.RunMIS(g, preds, repro.MISParallelColoring, repro.Options{})
+		parallel, err := repro.RunProblem(g, "mis", "parallel", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
-		scratch, err := repro.RunMIS(g, nil, repro.MISGreedy, repro.Options{})
+		scratch, err := repro.RunProblem(g, "mis", "greedy", nil, repro.Options{})
 		if err != nil {
 			return err
 		}

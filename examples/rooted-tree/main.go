@@ -26,15 +26,15 @@ func run() error {
 	for _, k := range []int{20, 60, 200} {
 		r := repro.DirectedLine(3 * k)
 		preds := repro.Mod3Line(k)
-		simple, err := repro.RunTreeMIS(r, preds, repro.TreeSimple, repro.Options{})
+		simple, err := repro.RunTreeMIS(r, "simple", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
-		parallel, err := repro.RunTreeMIS(r, preds, repro.TreeParallel, repro.Options{})
+		parallel, err := repro.RunTreeMIS(r, "parallel", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
-		general, err := repro.RunMIS(r.G, preds, repro.MISSimple, repro.Options{})
+		general, err := repro.RunProblem(r.G, "mis", "simple", preds, repro.Options{})
 		if err != nil {
 			return err
 		}
@@ -51,11 +51,11 @@ func run() error {
 		for _, flips := range []int{0, 2, 8, 32, n} {
 			preds := repro.FlipBits(perfect, flips, repro.NewRand(int64(flips)))
 			etaT := repro.TreeEtaT(r, preds)
-			simple, err := repro.RunTreeMIS(r, preds, repro.TreeSimple, repro.Options{})
+			simple, err := repro.RunTreeMIS(r, "simple", preds, repro.Options{})
 			if err != nil {
 				return err
 			}
-			parallel, err := repro.RunTreeMIS(r, preds, repro.TreeParallel, repro.Options{})
+			parallel, err := repro.RunTreeMIS(r, "parallel", preds, repro.Options{})
 			if err != nil {
 				return err
 			}

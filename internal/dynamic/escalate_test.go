@@ -47,11 +47,11 @@ func checkerAccepts(t *testing.T, name string, g *graph.Graph, out []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, preds, err := d.Checker(problem.Solution{Node: out})
+	preds, err := d.EncodePreds(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runtime.Run(runtime.Config{Graph: g, Factory: factory, Predictions: preds})
+	res, err := runtime.Run(runtime.Config{Graph: g, Factory: d.Checker(), Predictions: preds})
 	if err != nil {
 		t.Fatalf("checker run: %v", err)
 	}

@@ -73,16 +73,7 @@ func descriptor() problem.Descriptor {
 			}
 			return problem.Solution{Vectors: vecs, Edge: colors}, nil
 		},
-		Checker: func(sol problem.Solution) (runtime.Factory, []any, error) {
-			if len(sol.Vectors) == 0 {
-				return nil, nil, fmt.Errorf("ecolor: solution carries no per-node color vectors")
-			}
-			preds := make([]any, len(sol.Vectors))
-			for i, v := range sol.Vectors {
-				preds[i] = v
-			}
-			return check.EColor(), preds, nil
-		},
+		Checker: check.EColor,
 		Algorithms: []problem.Algorithm{
 			{
 				Name: "greedy", Template: problem.TemplateSolo,

@@ -37,9 +37,7 @@ func descriptor() problem.Descriptor {
 			return fmt.Sprintf("eta1=%d", predict.Eta1(predict.ErrorComponents(g, active))), nil
 		},
 		Finalize: problem.IntFinalizer("matching", verify.Matching),
-		Checker: func(sol problem.Solution) (runtime.Factory, []any, error) {
-			return check.Matching(), problem.EncodeInts(sol.Node), nil
-		},
+		Checker:  check.Matching,
 		Heal: &problem.Heal{
 			Verify:        verify.Matching,
 			Carve:         heal.CarveMatching,

@@ -46,9 +46,7 @@ func descriptor() problem.Descriptor {
 				predict.Eta1(comps), eta2, predict.EtaBW(g, p, active), len(comps)), nil
 		},
 		Finalize: problem.IntFinalizer("mis", verify.MIS),
-		Checker: func(sol problem.Solution) (runtime.Factory, []any, error) {
-			return check.MIS(), problem.EncodeInts(sol.Node), nil
-		},
+		Checker:  check.MIS,
 		Heal: &problem.Heal{
 			Verify:        verify.MIS,
 			Carve:         heal.CarveMIS,

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"math"
-	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"runtime/metrics"
 	"strconv"
@@ -13,9 +10,7 @@ import (
 // This file is the runtime resource telemetry half of the observability
 // layer: per-phase round wall-time histograms recorded by the engine, and
 // runtime/metrics-sampled heap/goroutine/GC gauges, both feeding the same
-// metrics Registry the trace aggregation writes to. ServeDebug bundles the
-// registry's Prometheus export with /healthz and /debug/pprof — the debug
-// surface the future dgp-serve daemon mounts directly.
+// metrics Registry the trace aggregation writes to.
 //
 // The determinism contract is untouched: telemetry only decorates the
 // metrics registry (never traces, results, or scheduling), every clock read
@@ -137,42 +132,4 @@ func summarizeFloat64Histogram(h *metrics.Float64Histogram) (count uint64, sum f
 		sum += float64(c) * mid
 	}
 	return count, sum
-}
-
-// ServeDebug returns an http.Handler bundling the operational debug
-// surface:
-//
-//	/metrics      Prometheus text exposition of t's registry, with the
-//	              runtime resource gauges re-sampled on every scrape
-//	/healthz      liveness probe (200 "ok")
-//	/debug/pprof  the standard Go profiling endpoints (index, profile,
-//	              heap, goroutine, trace, ...)
-//
-// A nil t serves a fresh empty Telemetry (runtime gauges only). The handler
-// is the seed of the dgp-serve daemon's debug listener; it is safe for
-// concurrent scrapes (registry snapshots are taken under the registry
-// lock).
-func ServeDebug(t *Telemetry) http.Handler {
-	if t == nil {
-		t = NewTelemetry(nil)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		t.SampleRuntime()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := t.Registry().Snapshot().WritePrometheus(w); err != nil {
-			// Headers are gone; all we can do is abort the body.
-			return
-		}
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -56,77 +54,6 @@ func TestSampleRuntimeSetsGauges(t *testing.T) {
 	}
 	if got["dgp_gomaxprocs"] < 1 {
 		t.Fatalf("dgp_gomaxprocs = %v, want >= 1", got["dgp_gomaxprocs"])
-	}
-}
-
-func TestServeDebugEndpoints(t *testing.T) {
-	tel := NewTelemetry(nil)
-	tel.RoundHistogram("round", 1).Observe(0.01)
-	srv := httptest.NewServer(ServeDebug(tel))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content type %q", ct)
-	}
-	// The scrape output must itself pass the exposition lint, and carry both
-	// the round histogram and a freshly sampled resource gauge.
-	lintHistograms(t, parseProm(t, body))
-	if !strings.Contains(body, `dgp_round_seconds_bucket{phase="round"`) {
-		t.Fatalf("/metrics missing round histogram:\n%s", body)
-	}
-	if !strings.Contains(body, "dgp_heap_bytes") {
-		t.Fatalf("/metrics missing runtime gauges:\n%s", body)
-	}
-
-	resp, err = http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || strings.TrimSpace(body) != "ok" {
-		t.Fatalf("/healthz: %d %q", resp.StatusCode, body)
-	}
-
-	resp, err = http.Get(srv.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readAll(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/: %d", resp.StatusCode)
-	}
-}
-
-func TestServeDebugNilTelemetry(t *testing.T) {
-	srv := httptest.NewServer(ServeDebug(nil))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "dgp_goroutines") {
-		t.Fatalf("/metrics on nil telemetry: %d\n%s", resp.StatusCode, body)
-	}
-}
-
-func readAll(t *testing.T, resp *http.Response) string {
-	t.Helper()
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			return sb.String()
-		}
 	}
 }
 

@@ -45,7 +45,8 @@ type BuildCtx struct {
 	Seed int64
 	// Aux is the problem's extra instance data beyond the graph — the rooted
 	// forest for the tree problem — produced by Descriptor.NewAux or passed
-	// by a typed entry point. Nil for problems defined by the graph alone.
+	// in by the caller (repro.RunTreeMIS). Nil for problems defined by the
+	// graph alone.
 	Aux any
 }
 
@@ -127,8 +128,9 @@ type Descriptor struct {
 	// complete solution.
 	Finalize func(g *graph.Graph, aux any, outs []any) (Solution, error)
 	// Checker returns the problem's constant-round distributed checker
-	// (Section 1.3) and the solution encoded as its predictions.
-	Checker func(sol Solution) (runtime.Factory, []any, error)
+	// (Section 1.3). Its per-node inputs are a candidate solution in the
+	// prediction encoding (EncodePreds).
+	Checker func() runtime.Factory
 	// Heal is the recovery machinery; nil when unsupported.
 	Heal *Heal
 	// Algorithms are the registered variants, in registration order.

@@ -20,7 +20,7 @@ func validDescriptor(name string) Descriptor {
 		EncodePreds: IntPredCodec(name),
 		Errors:      func(g *graph.Graph, aux any, preds any) (string, error) { return "eta1=0", nil },
 		Finalize:    IntFinalizer(name, func(g *graph.Graph, out []int) error { return nil }),
-		Checker:     func(sol Solution) (runtime.Factory, []any, error) { return nil, nil, nil },
+		Checker:     func() runtime.Factory { return nil },
 		Algorithms: []Algorithm{
 			{Name: "simple", Template: TemplateSimple, Build: nop},
 			{Name: "greedy", Template: TemplateSolo, Build: nop},

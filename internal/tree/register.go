@@ -27,8 +27,8 @@ func rooted(aux any) (*Rooted, error) {
 
 // descriptor registers rooted-tree MIS (Section 9.2). The problem carries
 // auxiliary instance data — the rooted forest — beyond the graph: NewAux
-// orients an acyclic graph at node 0, and typed entry points may pass their
-// own *Rooted. Healing runs through the general MIS machinery: an MIS of the
+// orients an acyclic graph at node 0, and repro.RunTreeMIS passes a
+// caller's own *Rooted. Healing runs through the general MIS machinery: an MIS of the
 // underlying graph is what the tree algorithms compute too.
 func descriptor() problem.Descriptor {
 	return problem.Descriptor{
@@ -57,9 +57,7 @@ func descriptor() problem.Descriptor {
 			return fmt.Sprintf("eta_t=%d", EtaT(r, p, predict.MISBaseActive(g, p))), nil
 		},
 		Finalize: problem.IntFinalizer("tree", verify.MIS),
-		Checker: func(sol problem.Solution) (runtime.Factory, []any, error) {
-			return check.MIS(), problem.EncodeInts(sol.Node), nil
-		},
+		Checker:  check.MIS,
 		Heal: &problem.Heal{
 			Verify:        verify.MIS,
 			Carve:         heal.CarveMIS,

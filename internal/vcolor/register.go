@@ -36,9 +36,7 @@ func descriptor() problem.Descriptor {
 			return fmt.Sprintf("eta1=%d", predict.Eta1(predict.ErrorComponents(g, active))), nil
 		},
 		Finalize: problem.IntFinalizer("vcolor", verify.VColor),
-		Checker: func(sol problem.Solution) (runtime.Factory, []any, error) {
-			return check.VColor(), problem.EncodeInts(sol.Node), nil
-		},
+		Checker:  check.VColor,
 		Heal: &problem.Heal{
 			Verify:        verify.VColor,
 			Carve:         heal.CarveVColor,

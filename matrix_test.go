@@ -225,29 +225,29 @@ func TestMatrixCheckers(t *testing.T) {
 			// Perfect predictions are accepted everywhere; a corrupted
 			// instance (when it corrupts at all) is rejected somewhere.
 			mis := repro.PerfectMIS(mg.g)
-			cr, err := repro.CheckMIS(mg.g, mis, repro.Options{})
+			cr, err := repro.CheckPredictions(mg.g, "mis", mis, repro.Options{})
 			if err != nil || !cr.AllAccept {
 				t.Fatalf("perfect MIS rejected: %v", err)
 			}
 			bad := append([]int(nil), mis...)
 			bad[0] ^= 1
-			cr, err = repro.CheckMIS(mg.g, bad, repro.Options{})
+			cr, err = repro.CheckPredictions(mg.g, "mis", bad, repro.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cr.AllAccept {
 				t.Error("corrupted MIS accepted")
 			}
-			m, err := repro.CheckMatching(mg.g, repro.PerfectMatching(mg.g), repro.Options{})
+			m, err := repro.CheckPredictions(mg.g, "matching", repro.PerfectMatching(mg.g), repro.Options{})
 			if err != nil || !m.AllAccept {
 				t.Fatalf("perfect matching rejected: %v", err)
 			}
-			v, err := repro.CheckVColor(mg.g, repro.PerfectVColor(mg.g), repro.Options{})
+			v, err := repro.CheckPredictions(mg.g, "vcolor", repro.PerfectVColor(mg.g), repro.Options{})
 			if err != nil || !v.AllAccept {
 				t.Fatalf("perfect coloring rejected: %v", err)
 			}
 			if mg.g.M() > 0 {
-				e, err := repro.CheckEColor(mg.g, repro.PerfectEColor(mg.g), repro.Options{})
+				e, err := repro.CheckPredictions(mg.g, "ecolor", repro.PerfectEColor(mg.g), repro.Options{})
 				if err != nil || !e.AllAccept {
 					t.Fatalf("perfect edge coloring rejected: %v", err)
 				}

@@ -1,110 +1,26 @@
 package repro
 
 import (
-	"fmt"
-
 	"repro/internal/matching"
 	"repro/internal/mis"
 	"repro/internal/predict"
 	"repro/internal/problem"
-	"repro/internal/runtime"
 )
 
-// This file keeps the typed per-problem entry points (enums, Result shapes,
-// Run* functions) as thin shims over the registry's generic run path in
-// registry.go — backward compatible by construction: every shim maps its
-// enum to the registered algorithm name and delegates to runGeneric.
+// This file keeps the two entry points RunProblem cannot express: a
+// caller-supplied rooted forest, and the continuous λ of the trade-off
+// variant. Both run through the registry's single run body in registry.go.
 
-// MISAlgorithm selects an MIS algorithm (with or without predictions).
-type MISAlgorithm int
-
-// The MIS algorithms. The Greedy variant ignores predictions (Algorithm 1
-// run alone); the rest are template instantiations from Section 7 and
-// Section 9.1 of the paper.
-const (
-	// MISGreedy is the measure-uniform Greedy MIS Algorithm alone.
-	MISGreedy MISAlgorithm = iota + 1
-	// MISSimple is Simple(Init, Greedy): η₁- and η₂-degrading.
-	MISSimple
-	// MISSimpleBase is Simple(Base, Greedy), for initialization comparisons.
-	MISSimpleBase
-	// MISSimpleBW is Simple(Init, U_bw), tracking η_bw (Section 9.1).
-	MISSimpleBW
-	// MISSimpleLuby is Simple(Init, Luby) (Section 10).
-	MISSimpleLuby
-	// MISSimpleCollect is Simple(Init, collect-and-solve).
-	MISSimpleCollect
-	// MISConsecutiveCollect is Consecutive with the collect reference.
-	MISConsecutiveCollect
-	// MISConsecutiveDecomp is Consecutive with the decomposition reference.
-	MISConsecutiveDecomp
-	// MISInterleavedDecomp is Interleaved with the decomposition reference
-	// (Corollary 10's shape).
-	MISInterleavedDecomp
-	// MISParallelColoring is the Corollary 12 Parallel Template.
-	MISParallelColoring
-	// MISLubySolo is Luby's algorithm alone (randomized baseline).
-	MISLubySolo
-	// MISSimpleUniform is the Simple Template with the Δ-doubling
-	// coloring reference, whose round complexity depends on the error
-	// components' maximum degree Δ' (and log* d), not the global Δ
-	// (Section 7.1, second example).
-	MISSimpleUniform
-)
-
-// misAlgNames maps the enum to the registered algorithm names.
-var misAlgNames = map[MISAlgorithm]string{
-	MISGreedy:             "greedy",
-	MISSimple:             "simple",
-	MISSimpleBase:         "base",
-	MISSimpleBW:           "bw",
-	MISSimpleLuby:         "luby",
-	MISSimpleCollect:      "collect",
-	MISConsecutiveCollect: "consecutive",
-	MISConsecutiveDecomp:  "decomp",
-	MISInterleavedDecomp:  "interleaved",
-	MISParallelColoring:   "parallel",
-	MISLubySolo:           "lubysolo",
-	MISSimpleUniform:      "uniform",
-}
-
-// MISResult is the outcome of an MIS run.
-type MISResult struct {
-	// Run carries the round/message metrics.
-	Run Result
-	// InSet is the 0/1 output per node index, verified maximal independent.
-	InSet []int
-}
-
-// MISFactory returns the engine factory for an algorithm choice.
-func MISFactory(alg MISAlgorithm, seed int64) (runtime.Factory, error) {
-	name, ok := misAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown MIS algorithm %d", alg)
-	}
-	d, err := problem.Get("mis")
+// RunTreeMIS executes a registered rooted-tree MIS algorithm (Section 9.2;
+// see Problems for the "tree" variants) on an explicit rooted forest and
+// verifies the output. RunProblem(g, "tree", ...) roots the graph at node 0
+// instead.
+func RunTreeMIS(r *Rooted, alg string, preds []int, opts Options) (*ProblemResult, error) {
+	d, err := problem.Get("tree")
 	if err != nil {
 		return nil, err
 	}
-	a, err := d.Algorithm(name)
-	if err != nil {
-		return nil, err
-	}
-	return a.Build(problem.BuildCtx{Seed: seed})
-}
-
-// RunMIS executes the chosen MIS algorithm on g with the given predictions
-// (nil for prediction-free algorithms) and verifies the output.
-func RunMIS(g *Graph, preds []int, alg MISAlgorithm, opts Options) (*MISResult, error) {
-	name, ok := misAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown MIS algorithm %d", alg)
-	}
-	res, err := RunProblem(g, "mis", name, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &MISResult{Run: res.Run, InSet: res.Output}, nil
+	return runGeneric(r.G, d, alg, nil, r, preds, opts)
 }
 
 // RunMISTradeoff runs the Section 10 consistency/robustness trade-off
@@ -114,234 +30,12 @@ func RunMIS(g *Graph, preds []int, alg MISAlgorithm, opts Options) (*MISResult, 
 // algorithm's worst-case needs. The λ knob is continuous, so this variant
 // stays outside the registry's named algorithms and plugs its factory into
 // the same generic machinery.
-func RunMISTradeoff(g *Graph, preds []int, lambda float64, opts Options) (*MISResult, error) {
+func RunMISTradeoff(g *Graph, preds []int, lambda float64, opts Options) (*ProblemResult, error) {
 	d, err := problem.Get("mis")
 	if err != nil {
 		return nil, err
 	}
-	factory := mis.ConsecutiveTradeoff(lambda, opts.Seed)
-	if opts.Recover {
-		spec, err := healSpecFor(d)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := runRecovered(g, factory, intPreds(preds), opts, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &MISResult{Run: rr.asResult(), InSet: rr.Output}, nil
-	}
-	raw, err := runAndCollect(g, factory, intPreds(preds), opts)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := d.Finalize(g, nil, raw.Outputs)
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	return &MISResult{Run: baseResult(raw), InSet: sol.Node}, nil
-}
-
-// TreeMISAlgorithm selects a rooted-tree MIS algorithm (Section 9.2).
-type TreeMISAlgorithm int
-
-// The rooted-tree MIS algorithms.
-const (
-	// TreeRootsLeaves is Algorithm 6 alone.
-	TreeRootsLeaves TreeMISAlgorithm = iota + 1
-	// TreeSimple is the rooted-tree initialization followed by Algorithm 6:
-	// round complexity at most ⌈η_t/2⌉+5.
-	TreeSimple
-	// TreeParallel is the Corollary 15 Parallel Template with the GPS
-	// 3-coloring reference: min{⌈η_t/2⌉+5, O(log* d)}.
-	TreeParallel
-	// TreeConsecutive is the Consecutive Template on rooted trees with the
-	// GPS reference.
-	TreeConsecutive
-)
-
-// treeAlgNames maps the enum to the registered algorithm names.
-var treeAlgNames = map[TreeMISAlgorithm]string{
-	TreeRootsLeaves: "greedy",
-	TreeSimple:      "simple",
-	TreeParallel:    "parallel",
-	TreeConsecutive: "consecutive",
-}
-
-// RunTreeMIS executes a rooted-tree MIS algorithm and verifies the output.
-// The rooted forest is passed explicitly (the registry's default auxiliary
-// data would re-root the graph at node 0).
-func RunTreeMIS(r *Rooted, preds []int, alg TreeMISAlgorithm, opts Options) (*MISResult, error) {
-	name, ok := treeAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown tree MIS algorithm %d", alg)
-	}
-	d, err := problem.Get("tree")
-	if err != nil {
-		return nil, err
-	}
-	res, err := runGeneric(r.G, d, name, r, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &MISResult{Run: res.Run, InSet: res.Output}, nil
-}
-
-// MatchingAlgorithm selects a maximal-matching algorithm (Section 8.1).
-type MatchingAlgorithm int
-
-// The maximal-matching algorithms.
-const (
-	// MatchingGreedy is the 3-round-group measure-uniform algorithm alone.
-	MatchingGreedy MatchingAlgorithm = iota + 1
-	// MatchingSimple is Simple(Init, measure-uniform).
-	MatchingSimple
-	// MatchingSimpleCollect is Simple(Init, collect-and-solve).
-	MatchingSimpleCollect
-	// MatchingConsecutive is the Consecutive Template with collect.
-	MatchingConsecutive
-	// MatchingParallel is the Parallel Template with the fault-tolerant
-	// edge-coloring reference (a Corollary 12 analogue for matching).
-	MatchingParallel
-)
-
-// matchingAlgNames maps the enum to the registered algorithm names.
-var matchingAlgNames = map[MatchingAlgorithm]string{
-	MatchingGreedy:        "greedy",
-	MatchingSimple:        "simple",
-	MatchingSimpleCollect: "collect",
-	MatchingConsecutive:   "consecutive",
-	MatchingParallel:      "parallel",
-}
-
-// MatchingResult is the outcome of a matching run.
-type MatchingResult struct {
-	// Run carries the round/message metrics.
-	Run Result
-	// Partner is the matched neighbor's identifier per node index, or
-	// Unmatched.
-	Partner []int
-}
-
-// RunMatching executes the chosen matching algorithm and verifies the
-// output.
-func RunMatching(g *Graph, preds []int, alg MatchingAlgorithm, opts Options) (*MatchingResult, error) {
-	name, ok := matchingAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown matching algorithm %d", alg)
-	}
-	res, err := RunProblem(g, "matching", name, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &MatchingResult{Run: res.Run, Partner: res.Output}, nil
-}
-
-// VColorAlgorithm selects a (Δ+1)-vertex-coloring algorithm (Section 8.2).
-type VColorAlgorithm int
-
-// The vertex-coloring algorithms.
-const (
-	// VColorGreedy is the measure-uniform list-coloring algorithm alone.
-	VColorGreedy VColorAlgorithm = iota + 1
-	// VColorSimple is Simple(Init, measure-uniform).
-	VColorSimple
-	// VColorSimpleLinial is Simple(Init, list-aware Linial).
-	VColorSimpleLinial
-	// VColorConsecutive is the Consecutive Template with the Linial
-	// reference (no clean-up needed for this problem).
-	VColorConsecutive
-	// VColorLinial is the Linial coloring alone (no predictions).
-	VColorLinial
-	// VColorInterleaved is the Interleaved Template with the Linial
-	// reference.
-	VColorInterleaved
-	// VColorParallel is the Parallel Template: the measure-uniform
-	// algorithm alongside the fault-tolerant Linial coloring, with a
-	// palette-repair second part.
-	VColorParallel
-)
-
-// vcolorAlgNames maps the enum to the registered algorithm names.
-var vcolorAlgNames = map[VColorAlgorithm]string{
-	VColorGreedy:       "greedy",
-	VColorSimple:       "simple",
-	VColorSimpleLinial: "linial",
-	VColorConsecutive:  "consecutive",
-	VColorLinial:       "standalone",
-	VColorInterleaved:  "interleaved",
-	VColorParallel:     "parallel",
-}
-
-// VColorResult is the outcome of a vertex-coloring run.
-type VColorResult struct {
-	// Run carries the round/message metrics.
-	Run Result
-	// Color is the output color per node index, in {1, ..., Δ+1}.
-	Color []int
-}
-
-// RunVColor executes the chosen vertex-coloring algorithm and verifies the
-// output.
-func RunVColor(g *Graph, preds []int, alg VColorAlgorithm, opts Options) (*VColorResult, error) {
-	name, ok := vcolorAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown vertex-coloring algorithm %d", alg)
-	}
-	res, err := RunProblem(g, "vcolor", name, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &VColorResult{Run: res.Run, Color: res.Output}, nil
-}
-
-// EColorAlgorithm selects a (2Δ−1)-edge-coloring algorithm (Section 8.3).
-type EColorAlgorithm int
-
-// The edge-coloring algorithms.
-const (
-	// EColorGreedy is the distance-2 measure-uniform algorithm alone.
-	EColorGreedy EColorAlgorithm = iota + 1
-	// EColorSimple is Simple(Base, measure-uniform).
-	EColorSimple
-	// EColorSimpleCollect is Simple(Base, collect-and-solve).
-	EColorSimpleCollect
-	// EColorConsecutive is the Consecutive Template with collect.
-	EColorConsecutive
-	// EColorParallel is the Parallel Template with the fault-tolerant
-	// line-graph coloring reference and a repair-and-output second part.
-	EColorParallel
-)
-
-// ecolorAlgNames maps the enum to the registered algorithm names.
-var ecolorAlgNames = map[EColorAlgorithm]string{
-	EColorGreedy:        "greedy",
-	EColorSimple:        "simple",
-	EColorSimpleCollect: "collect",
-	EColorConsecutive:   "consecutive",
-	EColorParallel:      "parallel",
-}
-
-// EColorResult is the outcome of an edge-coloring run.
-type EColorResult struct {
-	// Run carries the round/message metrics.
-	Run Result
-	// EdgeColor is the color per edge, indexed like Graph.Edges().
-	EdgeColor []int
-}
-
-// RunEColor executes the chosen edge-coloring algorithm, checks endpoint
-// agreement, and verifies the coloring.
-func RunEColor(g *Graph, preds []EdgePrediction, alg EColorAlgorithm, opts Options) (*EColorResult, error) {
-	name, ok := ecolorAlgNames[alg]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown edge-coloring algorithm %d", alg)
-	}
-	res, err := RunProblem(g, "ecolor", name, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &EColorResult{Run: res.Run, EdgeColor: res.EdgeOutput}, nil
+	return runGeneric(g, d, "tradeoff", mis.ConsecutiveTradeoff(lambda, opts.Seed), nil, preds, opts)
 }
 
 // Ensure predict's Unmatched matches matching's (compile-time check).

@@ -1,34 +1,10 @@
 package repro
 
 import (
-	"fmt"
-
 	"repro/internal/heal"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
-
-// Problem names a problem for RunWithRecovery.
-type Problem int
-
-// The problems with a recovery path. Their outputs are int vectors — MIS
-// bit, partner identifier (Unmatched for none), or color — which is what
-// the carving step operates on.
-const (
-	// ProblemMIS is maximal independent set.
-	ProblemMIS Problem = iota + 1
-	// ProblemMatching is maximal matching.
-	ProblemMatching
-	// ProblemVColor is (Δ+1)-vertex coloring.
-	ProblemVColor
-)
-
-// problemNames maps the enum to the registered problem names.
-var problemNames = map[Problem]string{
-	ProblemMIS:      "mis",
-	ProblemMatching: "matching",
-	ProblemVColor:   "vcolor",
-}
 
 // RecoveryResult reports a self-healing run: the faulted primary run, the
 // damage found, and the healing run's cost — the paper-style degradation
@@ -63,26 +39,8 @@ type RecoveryResult struct {
 // TotalRounds is the end-to-end cost: primary rounds plus recovery rounds.
 func (r *RecoveryResult) TotalRounds() int { return r.PrimaryRounds + r.RecoveryRounds }
 
-// RunWithRecovery executes the problem's Simple Template on g under the
-// options' fault knobs (Adversary, Crashes, RoundDeadline) and self-heals:
-// if the run aborts or produces an invalid solution, the damaged outputs
-// are carved down to an extendable partial solution (invalid values,
-// conflicting pairs, and unjustified decisions demoted) and the Simple
-// Template is re-run with the carved partial solution as predictions — the
-// paper's Section 4 initialization keeps every decided node and the
-// measure-uniform part extends the residual. The returned output always
-// verifies; crashed nodes are treated as recovered in the healing run
-// (chaos is transient). Configuration errors are returned, not healed.
-func RunWithRecovery(g *Graph, problem Problem, preds []int, opts Options) (*RecoveryResult, error) {
-	name, ok := problemNames[problem]
-	if !ok {
-		return nil, fmt.Errorf("repro: unknown problem %d", problem)
-	}
-	return RunProblemWithRecovery(g, name, preds, opts)
-}
-
-// runRecovered is the engine-level recovery path behind RunProblemWithRecovery
-// and the Options.Recover flag on the generic run path.
+// runRecovered is the engine-level recovery path behind the Options.Recover
+// flag on the generic run path (and so RunProblemWithRecovery).
 func runRecovered(g *Graph, factory runtime.Factory, preds []any, opts Options, spec heal.Spec) (*RecoveryResult, error) {
 	cfg := buildConfig(g, factory, preds, opts)
 	report, err := heal.RunRecovered(cfg, spec)
@@ -108,7 +66,7 @@ func runRecovered(g *Graph, factory runtime.Factory, preds []any, opts Options, 
 	}, nil
 }
 
-// asResult condenses a recovery into the Run*-style metrics: total rounds
+// asResult condenses a recovery into the run metrics: total rounds
 // and messages across primary and healing runs. TerminatedAt is nil and
 // MaxMsgBits -1 (per-run detail does not compose across the two runs).
 func (r *RecoveryResult) asResult() Result {

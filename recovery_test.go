@@ -34,26 +34,26 @@ func checkMIS(t *testing.T, g *repro.Graph, out []int) {
 	}
 }
 
-// TestRunWithRecoveryFuzz: under a sweep of chaos policies, RunWithRecovery
-// always returns a verified-valid solution for all three problems, and at
-// least some runs were actually damaged and healed (the acceptance
-// criterion for the recovery path).
+// TestRunWithRecoveryFuzz: under a sweep of chaos policies,
+// RunProblemWithRecovery always returns a verified-valid solution for all
+// three problems, and at least some runs were actually damaged and healed
+// (the acceptance criterion for the recovery path).
 func TestRunWithRecoveryFuzz(t *testing.T) {
 	problems := []struct {
 		name string
-		p    repro.Problem
+		seed int64
 	}{
-		{"mis", repro.ProblemMIS},
-		{"matching", repro.ProblemMatching},
-		{"vcolor", repro.ProblemVColor},
+		{"mis", 1001},
+		{"matching", 1002},
+		{"vcolor", 1003},
 	}
 	for _, prob := range problems {
 		t.Run(prob.name, func(t *testing.T) {
-			rng := repro.NewRand(int64(1000 + int(prob.p)))
+			rng := repro.NewRand(prob.seed)
 			healed := 0
 			for trial := 0; trial < 12; trial++ {
 				g := repro.GNP(20+rng.Intn(25), 0.12+rng.Float64()*0.15, rng)
-				res, err := repro.RunWithRecovery(g, prob.p, nil, repro.Options{
+				res, err := repro.RunProblemWithRecovery(g, prob.name, nil, repro.Options{
 					MaxRounds: 150,
 					Adversary: repro.NewChaos(repro.ChaosPolicy{
 						Seed:      rng.Int63(),
@@ -78,7 +78,7 @@ func TestRunWithRecoveryFuzz(t *testing.T) {
 						t.Fatalf("trial %d: recovery reported no rounds: %+v", trial, res)
 					}
 				}
-				if prob.p == repro.ProblemMIS {
+				if prob.name == "mis" {
 					checkMIS(t, g, res.Output)
 				}
 			}
@@ -89,8 +89,8 @@ func TestRunWithRecoveryFuzz(t *testing.T) {
 	}
 }
 
-// TestRecoverOption: the Run* entry points become self-healing under
-// Options.Recover, including when the primary run would abort outright.
+// TestRecoverOption: RunProblem becomes self-healing under Options.Recover,
+// including when the primary run would abort outright.
 func TestRecoverOption(t *testing.T) {
 	g := repro.GNP(40, 0.15, repro.NewRand(7))
 	opts := repro.Options{
@@ -98,39 +98,39 @@ func TestRecoverOption(t *testing.T) {
 		Recover:   true,
 		Adversary: repro.NewChaos(repro.ChaosPolicy{Seed: 11, Drop: 0.4, Crash: 0.1}),
 	}
-	mis, err := repro.RunMIS(g, nil, repro.MISSimple, opts)
+	mis, err := repro.RunProblem(g, "mis", "simple", nil, opts)
 	if err != nil {
-		t.Fatalf("RunMIS with Recover: %v", err)
+		t.Fatalf("mis with Recover: %v", err)
 	}
-	checkMIS(t, g, mis.InSet)
+	checkMIS(t, g, mis.Output)
 	if mis.Run.Rounds <= 0 {
 		t.Fatalf("no rounds reported: %+v", mis.Run)
 	}
 
 	opts.Adversary = repro.NewChaos(repro.ChaosPolicy{Seed: 12, Drop: 0.4, Crash: 0.1})
-	match, err := repro.RunMatching(g, nil, repro.MatchingSimple, opts)
+	match, err := repro.RunProblem(g, "matching", "simple", nil, opts)
 	if err != nil {
-		t.Fatalf("RunMatching with Recover: %v", err)
+		t.Fatalf("matching with Recover: %v", err)
 	}
-	if len(match.Partner) != g.N() {
-		t.Fatalf("partner vector length %d", len(match.Partner))
+	if len(match.Output) != g.N() {
+		t.Fatalf("partner vector length %d", len(match.Output))
 	}
 
 	opts.Adversary = repro.NewChaos(repro.ChaosPolicy{Seed: 13, Drop: 0.4, Crash: 0.1})
-	vc, err := repro.RunVColor(g, nil, repro.VColorSimple, opts)
+	vc, err := repro.RunProblem(g, "vcolor", "simple", nil, opts)
 	if err != nil {
-		t.Fatalf("RunVColor with Recover: %v", err)
+		t.Fatalf("vcolor with Recover: %v", err)
 	}
 	palette := g.MaxDegree() + 1
-	for v, c := range vc.Color {
+	for v, c := range vc.Output {
 		if c < 1 || c > palette {
 			t.Fatalf("node %d color %d outside palette", v, c)
 		}
 	}
 
 	// Edge coloring has no recovery path: explicit error, not a silent run.
-	if _, err := repro.RunEColor(g, nil, repro.EColorSimple, repro.Options{Recover: true}); err == nil {
-		t.Fatal("RunEColor accepted Options.Recover")
+	if _, err := repro.RunProblem(g, "ecolor", "simple", nil, repro.Options{Recover: true}); err == nil {
+		t.Fatal("ecolor accepted Options.Recover")
 	}
 }
 
@@ -138,7 +138,7 @@ func TestRecoverOption(t *testing.T) {
 // recovery mode.
 func TestRecoverPreservesConfigErrors(t *testing.T) {
 	g := repro.Line(3)
-	_, err := repro.RunMIS(g, nil, repro.MISSimple, repro.Options{
+	_, err := repro.RunProblem(g, "mis", "simple", nil, repro.Options{
 		Recover: true,
 		Crashes: map[int]int{5: 1}, // out of range
 	})
@@ -153,7 +153,7 @@ func TestRecoverPreservesConfigErrors(t *testing.T) {
 func TestOnRoundStats(t *testing.T) {
 	g := repro.GNP(30, 0.2, repro.NewRand(3))
 	var records []repro.RoundStats
-	res, err := repro.RunMIS(g, repro.PerfectMIS(g), repro.MISSimple, repro.Options{
+	res, err := repro.RunProblem(g, "mis", "simple", repro.PerfectMIS(g), repro.Options{
 		OnRoundStats: func(s repro.RoundStats) { records = append(records, s) },
 	})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestOnRoundStats(t *testing.T) {
 // public-API run.
 func TestRoundDeadlinePublic(t *testing.T) {
 	g := repro.Line(20)
-	res, err := repro.RunMIS(g, repro.PerfectMIS(g), repro.MISSimple, repro.Options{
+	res, err := repro.RunProblem(g, "mis", "simple", repro.PerfectMIS(g), repro.Options{
 		RoundDeadline: 10 * time.Second,
 	})
 	if err != nil {

@@ -7,10 +7,11 @@ import (
 	"repro/internal/heal"
 	"repro/internal/obs"
 	"repro/internal/problem"
+	"repro/internal/runtime"
 
 	// Each problem package registers its descriptor in init(); import them
-	// all here so the registry is complete regardless of which typed entry
-	// points the rest of the package happens to reference.
+	// all here so the registry is complete regardless of which problem
+	// packages the rest of the package happens to reference.
 	_ "repro/internal/ecolor"
 	_ "repro/internal/matching"
 	_ "repro/internal/mis"
@@ -21,10 +22,10 @@ import (
 // This file is the registry-driven generic problem layer: every registered
 // (problem, algorithm) pair runs through one code path — prediction
 // generation, error summaries, the run itself (with recovery), and
-// distributed checking — with no per-problem dispatch. The typed Run*
-// entry points in problems.go are thin shims over it, and the CLIs consume
-// it directly, so adding a problem or an algorithm is one registration in
-// its package, not an edit across six layers.
+// distributed checking — with no per-problem dispatch. It is the package's
+// run API: the CLIs consume it directly, and the two entry points in
+// problems.go feed the same run body, so adding a problem or an algorithm is
+// one registration in its package, not an edit across six layers.
 
 // AlgorithmInfo describes one registered algorithm variant.
 type AlgorithmInfo struct {
@@ -191,23 +192,28 @@ func RunProblem(g *Graph, problemName, alg string, preds any, opts Options) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	return runGeneric(g, d, alg, aux, preds, opts)
+	return runGeneric(g, d, alg, nil, aux, preds, opts)
 }
 
-// runGeneric is the single generic run path behind RunProblem and every
-// typed Run* shim: build the factory, apply the algorithm's engine cap,
-// encode the predictions, run (with recovery when requested), and finalize.
-func runGeneric(g *Graph, d *problem.Descriptor, alg string, aux any, preds any, opts Options) (*ProblemResult, error) {
-	a, err := d.Algorithm(alg)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := a.Build(problem.BuildCtx{Seed: opts.Seed, Aux: aux})
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	if opts.MaxRounds == 0 && a.MaxRounds != nil {
-		opts.MaxRounds = a.MaxRounds(g)
+// runGeneric is the single run body behind RunProblem, RunTreeMIS,
+// RunProblemWithRecovery and RunMISTradeoff. A nil factory builds the named
+// registered algorithm and applies its engine round cap; a non-nil one (the
+// trade-off variant) runs as given, with alg only labelling the trace. Then
+// it encodes the predictions, runs (with recovery when requested), and
+// finalizes.
+func runGeneric(g *Graph, d *problem.Descriptor, alg string, factory runtime.Factory, aux any, preds any, opts Options) (*ProblemResult, error) {
+	if factory == nil {
+		a, err := d.Algorithm(alg)
+		if err != nil {
+			return nil, err
+		}
+		factory, err = a.Build(problem.BuildCtx{Seed: opts.Seed, Aux: aux})
+		if err != nil {
+			return nil, fmt.Errorf("repro: %w", err)
+		}
+		if opts.MaxRounds == 0 && a.MaxRounds != nil {
+			opts.MaxRounds = a.MaxRounds(g)
+		}
 	}
 	encoded, err := d.EncodePreds(preds)
 	if err != nil {
@@ -270,15 +276,19 @@ func healSpecFor(d *problem.Descriptor) (heal.Spec, error) {
 }
 
 // RunProblemWithRecovery executes the problem's Simple Template on g under
-// the options' fault knobs and self-heals — the registry-driven form of
-// RunWithRecovery, available for every problem whose descriptor registers
-// healing machinery (see ProblemInfo.CanHeal).
+// the options' fault knobs (Adversary, Crashes, RoundDeadline) and
+// self-heals: if the run aborts or produces an invalid solution, the damaged
+// outputs are carved down to an extendable partial solution (invalid values,
+// conflicting pairs, and unjustified decisions demoted) and the Simple
+// Template is re-run with the carved partial solution as predictions — the
+// paper's Section 4 initialization keeps every decided node and the
+// measure-uniform part extends the residual. The returned output always
+// verifies; crashed nodes are treated as recovered in the healing run (chaos
+// is transient). Configuration errors are returned, not healed. Available
+// for every problem whose descriptor registers healing machinery (see
+// ProblemInfo.CanHeal).
 func RunProblemWithRecovery(g *Graph, problemName string, preds any, opts Options) (*RecoveryResult, error) {
 	d, err := problem.Get(problemName)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := healSpecFor(d)
 	if err != nil {
 		return nil, err
 	}
@@ -286,37 +296,27 @@ func RunProblemWithRecovery(g *Graph, problemName string, preds any, opts Option
 	if err != nil {
 		return nil, err
 	}
-	a, err := d.Algorithm("simple")
+	opts.Recover = true
+	res, err := runGeneric(g, d, "simple", nil, aux, preds, opts)
 	if err != nil {
 		return nil, err
 	}
-	factory, err := a.Build(problem.BuildCtx{Seed: opts.Seed, Aux: aux})
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	encoded, err := d.EncodePreds(preds)
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	traceRunMeta(d, "simple", g, aux, preds, opts)
-	return runRecovered(g, factory, encoded, opts, spec)
+	return res.Recovery, nil
 }
 
 // CheckSolution runs the problem's constant-round distributed checker
 // (Section 1.3) over a RunProblem result: AllAccept iff the output is a
 // correct solution.
 func CheckSolution(g *Graph, problemName string, res *ProblemResult, opts Options) (*CheckResult, error) {
-	d, err := problem.Get(problemName)
-	if err != nil {
-		return nil, err
+	var sol any = res.Output
+	if res.vectors != nil {
+		// Edge coloring is checked on its per-node color vectors, which
+		// have the shape of its predictions.
+		vecs := make([]EdgePrediction, len(res.vectors))
+		for i, v := range res.vectors {
+			vecs[i] = v
+		}
+		sol = vecs
 	}
-	factory, preds, err := d.Checker(problem.Solution{
-		Node:    res.Output,
-		Vectors: res.vectors,
-		Edge:    res.EdgeOutput,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	return runChecker(g, factory, preds, opts)
+	return CheckPredictions(g, problemName, sol, opts)
 }

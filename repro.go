@@ -19,12 +19,21 @@
 //   - a benchmark harness regenerating every quantitative claim in the
 //     paper (see EXPERIMENTS.md).
 //
-// Quick start:
+// Every registered (problem, algorithm) pair runs through RunProblem; see
+// Problems or `dgp-run -list` for the names. Quick start (the body of
+// ExampleRunProblem):
 //
-//	g := repro.GNP(200, 0.05, rand.New(rand.NewSource(1)))
-//	preds := repro.FlipBits(repro.PerfectMIS(g), 10, rng)
-//	res, err := repro.RunMIS(g, preds, repro.MISParallelColoring, repro.Options{})
-//	fmt.Println(res.Rounds, res.InSet)
+//	g := repro.Ring(12)
+//	preds := repro.PerfectMIS(g)
+//	preds[1] = 1 // corrupt one bit
+//
+//	res, err := repro.RunProblem(g, "mis", "parallel", preds, repro.Options{})
+//	if err != nil {
+//		fmt.Println(err)
+//		return
+//	}
+//	fmt.Println("valid:", len(res.Output) == g.N())
+//	fmt.Println("rounds <= 7:", res.Run.Rounds <= 7)
 package repro
 
 import (
@@ -182,11 +191,12 @@ type Options struct {
 	// if any send or receive phase exceeds it (a watchdog against wedged
 	// machines).
 	RoundDeadline time.Duration
-	// Recover makes the Run* entry points self-healing: instead of failing
-	// on an invalid or aborted faulted run, they carve the damaged outputs
-	// into an extendable partial solution and re-run the problem's clean-up
-	// machinery to extend it (see RunWithRecovery for the detailed report).
-	// Supported for MIS (including trees), matching, and vertex coloring.
+	// Recover makes a run self-healing: instead of failing on an invalid or
+	// aborted faulted run, it carves the damaged outputs into an extendable
+	// partial solution and re-runs the problem's clean-up machinery to
+	// extend it (ProblemResult.Recovery holds the detailed report; see
+	// RunProblemWithRecovery). Supported for MIS (including trees),
+	// matching, and vertex coloring.
 	Recover bool
 	// Trace, when non-nil, records the run's typed event stream: rounds,
 	// message batches, faults, template-stage spans, heal phases, and η
@@ -197,8 +207,8 @@ type Options struct {
 	// Telemetry, when non-nil, records per-phase round wall-time histograms
 	// (dgp_round_seconds{phase,shards}) into its metrics registry; sample
 	// process resource gauges with Telemetry.SampleRuntime and export with
-	// MetricsRegistry snapshots or the ServeDebug HTTP handler. Purely
-	// observational; nil costs a pointer check.
+	// MetricsRegistry snapshots. Purely observational; nil costs a pointer
+	// check.
 	Telemetry *Telemetry
 }
 
@@ -226,12 +236,6 @@ func NewTraceRecorder(capacity int) *TraceRecorder { return obs.NewRecorder(capa
 // registry when reg is nil). Attach it via Options.Telemetry or
 // SessionOptions.Telemetry.
 func NewTelemetry(reg *MetricsRegistry) *Telemetry { return obs.NewTelemetry(reg) }
-
-// ServeDebug returns an http.Handler bundling /metrics (Prometheus text of
-// t's registry with runtime gauges re-sampled per scrape), /healthz, and
-// the /debug/pprof profiling endpoints — the operational debug surface for
-// long-running processes embedding this library.
-var ServeDebug = obs.ServeDebug
 
 // Engine and chaos types re-exported for library users.
 type (
@@ -337,17 +341,6 @@ func baseResult(r *runtime.Result) Result {
 		MaxMsgBits:   r.MaxMsgBits,
 		TerminatedAt: r.TerminatedAt,
 	}
-}
-
-func intPreds(preds []int) []any {
-	if preds == nil {
-		return nil
-	}
-	out := make([]any, len(preds))
-	for i, p := range preds {
-		out[i] = p
-	}
-	return out
 }
 
 // NewRand returns a deterministic PRNG for the generators.

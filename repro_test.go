@@ -7,30 +7,30 @@ import (
 )
 
 // These tests exercise the public facade end to end: every exported runner,
-// on every algorithm constant, with verified outputs.
+// on every registered algorithm name, with verified outputs.
 
 func TestPublicMISAlgorithms(t *testing.T) {
 	g := repro.GNP(60, 0.08, repro.NewRand(4))
 	preds := repro.FlipBits(repro.PerfectMIS(g), 6, repro.NewRand(5))
-	algs := []repro.MISAlgorithm{
-		repro.MISGreedy, repro.MISSimple, repro.MISSimpleBase, repro.MISSimpleBW,
-		repro.MISSimpleLuby, repro.MISSimpleCollect, repro.MISConsecutiveCollect,
-		repro.MISConsecutiveDecomp, repro.MISInterleavedDecomp,
-		repro.MISParallelColoring, repro.MISLubySolo, repro.MISSimpleUniform,
+	algs := []string{
+		"greedy", "simple", "base", "bw",
+		"luby", "collect", "consecutive",
+		"decomp", "interleaved",
+		"parallel", "lubysolo", "uniform",
 	}
 	for _, alg := range algs {
-		res, err := repro.RunMIS(g, preds, alg, repro.Options{Seed: 6})
+		res, err := repro.RunProblem(g, "mis", alg, preds, repro.Options{Seed: 6})
 		if err != nil {
-			t.Fatalf("alg %d: %v", alg, err)
+			t.Fatalf("alg %s: %v", alg, err)
 		}
 		if res.Run.Rounds <= 0 {
-			t.Errorf("alg %d: nonpositive rounds", alg)
+			t.Errorf("alg %s: nonpositive rounds", alg)
 		}
-		if len(res.InSet) != g.N() {
-			t.Errorf("alg %d: %d outputs", alg, len(res.InSet))
+		if len(res.Output) != g.N() {
+			t.Errorf("alg %s: %d outputs", alg, len(res.Output))
 		}
 	}
-	if _, err := repro.RunMIS(g, preds, repro.MISAlgorithm(99), repro.Options{}); err == nil {
+	if _, err := repro.RunProblem(g, "mis", "no-such-algorithm", preds, repro.Options{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	for _, lambda := range []float64{0, 0.5, 1} {
@@ -43,33 +43,23 @@ func TestPublicMISAlgorithms(t *testing.T) {
 func TestPublicMatchingVColorEColor(t *testing.T) {
 	g := repro.Grid2D(7, 7)
 	mPreds := repro.PerturbMatching(g, repro.PerfectMatching(g), 5, repro.NewRand(7))
-	for _, alg := range []repro.MatchingAlgorithm{
-		repro.MatchingGreedy, repro.MatchingSimple,
-		repro.MatchingSimpleCollect, repro.MatchingConsecutive,
-		repro.MatchingParallel,
-	} {
-		if _, err := repro.RunMatching(g, mPreds, alg, repro.Options{}); err != nil {
-			t.Fatalf("matching alg %d: %v", alg, err)
+	for _, alg := range []string{"greedy", "simple", "collect", "consecutive", "parallel"} {
+		if _, err := repro.RunProblem(g, "matching", alg, mPreds, repro.Options{}); err != nil {
+			t.Fatalf("matching alg %s: %v", alg, err)
 		}
 	}
 	vPreds := repro.PerturbVColor(g, repro.PerfectVColor(g), 5, repro.NewRand(8))
-	for _, alg := range []repro.VColorAlgorithm{
-		repro.VColorGreedy, repro.VColorSimple, repro.VColorSimpleLinial,
-		repro.VColorConsecutive, repro.VColorLinial,
-		repro.VColorInterleaved, repro.VColorParallel,
+	for _, alg := range []string{
+		"greedy", "simple", "linial", "consecutive", "standalone", "interleaved", "parallel",
 	} {
-		if _, err := repro.RunVColor(g, vPreds, alg, repro.Options{}); err != nil {
-			t.Fatalf("vcolor alg %d: %v", alg, err)
+		if _, err := repro.RunProblem(g, "vcolor", alg, vPreds, repro.Options{}); err != nil {
+			t.Fatalf("vcolor alg %s: %v", alg, err)
 		}
 	}
 	ePreds := repro.PerturbEColor(g, repro.PerfectEColor(g), 5, repro.NewRand(9))
-	for _, alg := range []repro.EColorAlgorithm{
-		repro.EColorGreedy, repro.EColorSimple,
-		repro.EColorSimpleCollect, repro.EColorConsecutive,
-		repro.EColorParallel,
-	} {
-		if _, err := repro.RunEColor(g, ePreds, alg, repro.Options{}); err != nil {
-			t.Fatalf("ecolor alg %d: %v", alg, err)
+	for _, alg := range []string{"greedy", "simple", "collect", "consecutive", "parallel"} {
+		if _, err := repro.RunProblem(g, "ecolor", alg, ePreds, repro.Options{}); err != nil {
+			t.Fatalf("ecolor alg %s: %v", alg, err)
 		}
 	}
 }
@@ -77,20 +67,47 @@ func TestPublicMatchingVColorEColor(t *testing.T) {
 func TestPublicTreeMIS(t *testing.T) {
 	r := repro.RandomRooted(50, repro.NewRand(10))
 	preds := repro.FlipBits(repro.PerfectMIS(r.G), 5, repro.NewRand(11))
-	for _, alg := range []repro.TreeMISAlgorithm{
-		repro.TreeRootsLeaves, repro.TreeSimple, repro.TreeParallel,
-		repro.TreeConsecutive,
-	} {
-		res, err := repro.RunTreeMIS(r, preds, alg, repro.Options{})
+	for _, alg := range []string{"greedy", "simple", "parallel", "consecutive"} {
+		res, err := repro.RunTreeMIS(r, alg, preds, repro.Options{})
 		if err != nil {
-			t.Fatalf("tree alg %d: %v", alg, err)
+			t.Fatalf("tree alg %s: %v", alg, err)
 		}
 		if res.Run.Rounds <= 0 {
-			t.Errorf("tree alg %d: nonpositive rounds", alg)
+			t.Errorf("tree alg %s: nonpositive rounds", alg)
 		}
 	}
 	if got := repro.TreeEtaT(r, preds); got < 0 {
 		t.Errorf("TreeEtaT = %d", got)
+	}
+}
+
+// TestRunTreeMISHonoursForest: RunTreeMIS runs on the forest it is given,
+// not on the registry's default rooting at node 0. Rooting the same tree at
+// node 57 changes the parent pointers the rooted-tree algorithms follow, so
+// node 0's output differs; both outputs are still maximal independent sets
+// of the underlying graph.
+func TestRunTreeMISHonoursForest(t *testing.T) {
+	g := repro.RandomRooted(200, repro.NewRand(200)).G
+	preds := repro.FlipBits(repro.PerfectMIS(g), 32, repro.NewRand(32))
+	rerooted, err := repro.RunTreeMIS(repro.RootAt(g, 57), "simple", preds, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDefault, err := repro.RunProblem(g, "tree", "simple", preds, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerooted.Output[0] == byDefault.Output[0] {
+		t.Errorf("node 0 outputs %d under both rootings; the forest argument was ignored", rerooted.Output[0])
+	}
+	for _, res := range []*repro.ProblemResult{rerooted, byDefault} {
+		cr, err := repro.CheckPredictions(g, "mis", res.Output, repro.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cr.AllAccept {
+			t.Errorf("output %v is not a maximal independent set", res.Output)
+		}
 	}
 }
 
@@ -128,7 +145,7 @@ func TestCrashInjectionSurfacesAsError(t *testing.T) {
 	// reject the run; the fault-tolerance guarantees themselves (survivors
 	// stay consistent) are tested at the runtime and vcolor layers.
 	g := repro.Ring(12)
-	if _, err := repro.RunMIS(g, nil, repro.MISGreedy, repro.Options{
+	if _, err := repro.RunProblem(g, "mis", "greedy", nil, repro.Options{
 		Crashes: map[int]int{0: 1},
 	}); err == nil {
 		t.Error("crashed node should make full-solution verification fail")

@@ -27,7 +27,7 @@ func TestSessionPublicAPI(t *testing.T) {
 	if len(out) != 50 {
 		t.Fatalf("output length %d", len(out))
 	}
-	if res, err := repro.CheckMIS(s.Graph(), out, repro.Options{}); err != nil || !res.AllAccept {
+	if res, err := repro.CheckPredictions(s.Graph(), "mis", out, repro.Options{}); err != nil || !res.AllAccept {
 		t.Fatalf("distributed checker rejects the session output: %v %+v", err, res)
 	}
 	st := s.Close()
@@ -60,7 +60,7 @@ func TestRunSessionOneShot(t *testing.T) {
 	if len(rep.Output) != 40 || rep.FinalGraph == nil {
 		t.Fatalf("report incomplete: %+v", rep)
 	}
-	if res, err := repro.CheckVColor(rep.FinalGraph, rep.Output, repro.Options{}); err != nil || !res.AllAccept {
+	if res, err := repro.CheckPredictions(rep.FinalGraph, "vcolor", rep.Output, repro.Options{}); err != nil || !res.AllAccept {
 		t.Fatalf("checker rejects one-shot session output: %v", err)
 	}
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // Shard-loss chaos: a whole shard of the partition goes dark at a scheduled
-// round, and RunWithRecovery heals exactly the lost region. The key locality
+// round, and RunProblemWithRecovery heals exactly the lost region. The key locality
 // property pinned here is that the recovery cost tracks the shard boundary,
 // not the graph: growing n at a fixed shard size leaves the residual and the
 // recovery rounds unchanged.
 
 // TestShardLossRecoveryTracksBoundary loses one 80-node shard of a ring at
-// round 2 and heals under ProblemMIS with clean-run predictions. The ring
+// round 2 and heals MIS with clean-run predictions. The ring
 // grows 4x (240 -> 960) while the shard size stays 80; residual and recovery
 // rounds must stay flat.
 func TestShardLossRecoveryTracksBoundary(t *testing.T) {
@@ -26,7 +26,7 @@ func TestShardLossRecoveryTracksBoundary(t *testing.T) {
 		g := repro.Ring(tc.n)
 		// Predictions from a clean run: alive nodes settle in O(1) rounds, so
 		// the carve isolates the crashed shard instead of the whole graph.
-		clean, err := repro.RunMIS(g, nil, repro.MISSimple, repro.Options{})
+		clean, err := repro.RunProblem(g, "mis", "simple", nil, repro.Options{})
 		if err != nil {
 			t.Fatalf("clean run n=%d: %v", tc.n, err)
 		}
@@ -35,14 +35,14 @@ func TestShardLossRecoveryTracksBoundary(t *testing.T) {
 			Partition:  part,
 			LoseShards: map[int]int{1: 2}, // shard 1 = nodes 80..159 in every size
 		})
-		res, err := repro.RunWithRecovery(g, repro.ProblemMIS, clean.InSet, repro.Options{
+		res, err := repro.RunProblemWithRecovery(g, "mis", clean.Output, repro.Options{
 			MaxRounds: 300,
 			Shards:    tc.s,
 			Partition: part,
 			Adversary: chaos,
 		})
 		if err != nil {
-			t.Fatalf("n=%d: RunWithRecovery: %v", tc.n, err)
+			t.Fatalf("n=%d: RunProblemWithRecovery: %v", tc.n, err)
 		}
 		if stats := chaos.Stats(); stats.LostShards != 1 || stats.Crashed != shardSize {
 			t.Fatalf("n=%d: chaos stats %+v, want LostShards=1 Crashed=%d", tc.n, stats, shardSize)
@@ -85,7 +85,7 @@ func TestShardLossRecoveryTracksBoundary(t *testing.T) {
 func TestShardLossSeededRecovery(t *testing.T) {
 	g := repro.Ring(200)
 	part := repro.ContiguousPartition(200, 10)
-	clean, err := repro.RunMIS(g, nil, repro.MISSimple, repro.Options{})
+	clean, err := repro.RunProblem(g, "mis", "simple", nil, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestShardLossSeededRecovery(t *testing.T) {
 		ShardLoss:   0.3,
 		ShardLossBy: 4,
 	})
-	res, err := repro.RunWithRecovery(g, repro.ProblemMIS, clean.InSet, repro.Options{
+	res, err := repro.RunProblemWithRecovery(g, "mis", clean.Output, repro.Options{
 		MaxRounds: 300,
 		Shards:    10,
 		Partition: part,
 		Adversary: chaos,
 	})
 	if err != nil {
-		t.Fatalf("RunWithRecovery: %v", err)
+		t.Fatalf("RunProblemWithRecovery: %v", err)
 	}
 	stats := chaos.Stats()
 	if stats.LostShards == 0 {

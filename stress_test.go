@@ -31,15 +31,13 @@ func TestStressMISLarge(t *testing.T) {
 			perfect := repro.PerfectMIS(c.g)
 			for _, flips := range []int{0, 50, c.g.N() / 2} {
 				preds := repro.FlipBits(perfect, flips, repro.NewRand(int64(flips)))
-				for _, alg := range []repro.MISAlgorithm{
-					repro.MISSimple, repro.MISParallelColoring, repro.MISInterleavedDecomp,
-				} {
-					res, err := repro.RunMIS(c.g, preds, alg, repro.Options{Seed: 3, Parallel: true})
+				for _, alg := range []string{"simple", "parallel", "interleaved"} {
+					res, err := repro.RunProblem(c.g, "mis", alg, preds, repro.Options{Seed: 3, Parallel: true})
 					if err != nil {
-						t.Fatalf("alg %d flips %d: %v", alg, flips, err)
+						t.Fatalf("alg %s flips %d: %v", alg, flips, err)
 					}
 					if flips == 0 && res.Run.Rounds > 3 {
-						t.Errorf("alg %d: consistency broken at scale (%d rounds)", alg, res.Run.Rounds)
+						t.Errorf("alg %s: consistency broken at scale (%d rounds)", alg, res.Run.Rounds)
 					}
 				}
 			}
@@ -55,11 +53,11 @@ func TestStressAdversarialLine(t *testing.T) {
 	g := repro.Line(n)
 	preds := repro.Uniform(n, 1)
 	// Simple pays ~n rounds; Parallel stays at O(Δ + log* d).
-	simple, err := repro.RunMIS(g, preds, repro.MISSimple, repro.Options{MaxRounds: 2 * n})
+	simple, err := repro.RunProblem(g, "mis", "simple", preds, repro.Options{MaxRounds: 2 * n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := repro.RunMIS(g, preds, repro.MISParallelColoring, repro.Options{})
+	parallel, err := repro.RunProblem(g, "mis", "parallel", preds, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +74,16 @@ func TestStressAllProblemsOneNetwork(t *testing.T) {
 		t.Skip("stress suite skipped with -short")
 	}
 	g := repro.GNP(2000, 0.003, repro.NewRand(9))
-	if _, err := repro.RunMatching(g, repro.PerturbMatching(g, repro.PerfectMatching(g), 40, repro.NewRand(1)),
-		repro.MatchingSimple, repro.Options{}); err != nil {
+	if _, err := repro.RunProblem(g, "matching", "simple",
+		repro.PerturbMatching(g, repro.PerfectMatching(g), 40, repro.NewRand(1)), repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repro.RunVColor(g, repro.PerturbVColor(g, repro.PerfectVColor(g), 40, repro.NewRand(2)),
-		repro.VColorSimple, repro.Options{}); err != nil {
+	if _, err := repro.RunProblem(g, "vcolor", "simple",
+		repro.PerturbVColor(g, repro.PerfectVColor(g), 40, repro.NewRand(2)), repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repro.RunEColor(g, repro.PerturbEColor(g, repro.PerfectEColor(g), 40, repro.NewRand(3)),
-		repro.EColorSimple, repro.Options{}); err != nil {
+	if _, err := repro.RunProblem(g, "ecolor", "simple",
+		repro.PerturbEColor(g, repro.PerfectEColor(g), 40, repro.NewRand(3)), repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +95,7 @@ func TestStressTreeLarge(t *testing.T) {
 	for _, n := range []int{5000, 20000} {
 		r := repro.RandomRooted(n, repro.NewRand(int64(n)))
 		preds := repro.FlipBits(repro.PerfectMIS(r.G), n/100, repro.NewRand(4))
-		res, err := repro.RunTreeMIS(r, preds, repro.TreeParallel, repro.Options{})
+		res, err := repro.RunTreeMIS(r, "parallel", preds, repro.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -116,15 +114,15 @@ func TestStressEngineParityLarge(t *testing.T) {
 	}
 	g := repro.GNP(3000, 0.002, repro.NewRand(11))
 	preds := repro.FlipBits(repro.PerfectMIS(g), 100, repro.NewRand(12))
-	seq, err := repro.RunMIS(g, preds, repro.MISSimple, repro.Options{})
+	seq, err := repro.RunProblem(g, "mis", "simple", preds, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := repro.RunMIS(g, preds, repro.MISSimple, repro.Options{Parallel: true})
+	par, err := repro.RunProblem(g, "mis", "simple", preds, repro.Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Run.Rounds != par.Run.Rounds || fmt.Sprint(seq.InSet) != fmt.Sprint(par.InSet) {
+	if seq.Run.Rounds != par.Run.Rounds || fmt.Sprint(seq.Output) != fmt.Sprint(par.Output) {
 		t.Error("engine modes disagree at scale")
 	}
 }
