@@ -1,117 +1,20 @@
 package matching
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/graph"
 	"repro/internal/runtime"
 )
 
-// Collect returns the collect-and-solve reference for maximal matching:
-// n rounds of adjacency flooding, then every node outputs its partner in the
-// canonical greedy-by-identifier maximal matching of its component. The
-// round bound CollectBound(info) = n+1 is computable by all nodes, as the
-// Consecutive Template requires.
-func Collect() core.Stage {
-	return core.Stage{
-		Name: "matching/collect",
-		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &collectMachine{mem: mem.(*Memory), rows: map[int][]int{}}
-		},
-	}
-}
+// Collect returns the collect-and-solve reference for maximal matching
+// (core.Collect): n rounds of adjacency flooding, then every node outputs
+// its partner in the canonical greedy-by-identifier maximal matching of its
+// component. The round bound CollectBound(info) = n+1 is computable by all
+// nodes, as the Consecutive Template requires.
+func Collect() core.Stage { return core.Collect("matching/collect", exact.GreedyMatchingByID) }
 
 // CollectBound is the round bound of Collect.
 func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
-
-// row carries newly learned adjacency rows (LOCAL-size).
-type row struct {
-	Entries map[int][]int
-}
-
-// Bits sizes the flooding batch for CONGEST accounting: one ID (32 bits)
-// per key and per adjacency entry. The collect-and-solve reference is
-// LOCAL-size by design; honest accounting keeps Result.Bits meaningful.
-func (r row) Bits() int {
-	n := 0
-	for _, nbrs := range r.Entries {
-		n += 32 * (1 + len(nbrs))
-	}
-	return n
-}
-
-type collectMachine struct {
-	mem   *Memory
-	rows  map[int][]int
-	fresh []int
-}
-
-func (m *collectMachine) Send(c *core.StageCtx) []runtime.Out {
-	info := c.Info()
-	if c.StageRound() == 1 {
-		mine := m.mem.ActiveNeighbors(info)
-		m.rows[info.ID] = mine
-		m.fresh = []int{info.ID}
-	}
-	if c.StageRound() > info.N {
-		m.solveAndOutput(c)
-		return nil
-	}
-	if len(m.fresh) == 0 {
-		return nil
-	}
-	entries := make(map[int][]int, len(m.fresh))
-	for _, id := range m.fresh {
-		entries[id] = m.rows[id]
-	}
-	m.fresh = nil
-	return runtime.BroadcastTo(m.mem.ActiveNeighbors(info), row{Entries: entries})
-}
-
-func (m *collectMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	for _, msg := range inbox {
-		r, ok := msg.Payload.(row)
-		if !ok {
-			continue
-		}
-		for id, nbrs := range r.Entries {
-			if _, known := m.rows[id]; !known {
-				m.rows[id] = nbrs
-				m.fresh = append(m.fresh, id)
-			}
-		}
-	}
-	sort.Ints(m.fresh)
-}
-
-func (m *collectMachine) solveAndOutput(c *core.StageCtx) {
-	ids := make([]int, 0, len(m.rows))
-	for id := range m.rows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	idx := make(map[int]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	b := graph.NewBuilder(len(ids))
-	b.SetDomain(c.Info().D)
-	for i, id := range ids {
-		b.SetID(i, id)
-	}
-	for i, id := range ids {
-		for _, nb := range m.rows[id] {
-			if j, ok := idx[nb]; ok && i < j {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	sub := b.MustBuild()
-	out := exact.GreedyMatchingByID(sub)
-	c.Output(out[idx[c.ID()]])
-}
 
 // Solo runs a single matching stage as a complete algorithm.
 func Solo(stage core.Stage) runtime.Factory {

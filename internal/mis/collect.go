@@ -1,130 +1,19 @@
 package mis
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/graph"
 	"repro/internal/runtime"
 )
 
-// Collect returns the collect-and-solve LOCAL reference algorithm: every
-// active node floods adjacency rows for exactly n rounds (by which time each
-// node knows the entire subgraph induced by the nodes that entered the stage
-// with it), then computes the canonical greedy-by-identifier MIS of its
-// component locally and outputs its own bit.
+// Collect returns the collect-and-solve LOCAL reference algorithm
+// (core.Collect): n rounds of adjacency flooding, then every node outputs
+// its bit of the canonical greedy-by-identifier MIS of its component.
 //
-// Its round complexity is exactly n+1 regardless of the input, so every node
-// can compute the bound CollectBound from its static information — the
-// property the Consecutive Template requires of its reference (Section 7.2).
 // It exists to exercise the templates with a reference whose bound is known
 // and simple; the decomposition reference in internal/decomp plays the role
 // of the paper's sophisticated references.
-func Collect() core.Stage {
-	return core.Stage{
-		Name: "mis/collect",
-		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &collectMachine{
-				mem:  mem.(*Memory),
-				rows: map[int][]int{},
-			}
-		},
-	}
-}
+func Collect() core.Stage { return core.Collect("mis/collect", exact.GreedyMISByID) }
 
 // CollectBound is the round bound r(n) of Collect, computable by every node.
 func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
-
-// row carries newly learned adjacency rows during flooding. Arbitrarily
-// large, so the algorithm is LOCAL-only.
-type row struct {
-	Entries map[int][]int
-}
-
-// Bits sizes the flooding batch for CONGEST accounting: one ID (32 bits)
-// per key and per adjacency entry. The collect-and-solve reference is
-// LOCAL-size by design; honest accounting keeps Result.Bits meaningful.
-func (r row) Bits() int {
-	n := 0
-	for _, nbrs := range r.Entries {
-		n += 32 * (1 + len(nbrs))
-	}
-	return n
-}
-
-type collectMachine struct {
-	mem   *Memory
-	rows  map[int][]int // id -> neighbor ids, learned so far
-	fresh []int         // ids learned last round, to forward
-}
-
-func (m *collectMachine) Send(c *core.StageCtx) []runtime.Out {
-	info := c.Info()
-	if c.StageRound() == 1 {
-		// Start by flooding our own row, restricted to neighbors that are
-		// still active (terminated neighbors are not part of the remaining
-		// problem; extendability guarantees solving without them is safe).
-		mine := m.mem.ActiveNeighbors(info)
-		m.rows[info.ID] = mine
-		m.fresh = []int{info.ID}
-	}
-	if c.StageRound() > info.N {
-		m.solveAndOutput(c)
-		return nil
-	}
-	if len(m.fresh) == 0 {
-		return nil
-	}
-	entries := make(map[int][]int, len(m.fresh))
-	for _, id := range m.fresh {
-		entries[id] = m.rows[id]
-	}
-	m.fresh = nil
-	return runtime.BroadcastTo(m.mem.ActiveNeighbors(info), row{Entries: entries})
-}
-
-func (m *collectMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	for _, msg := range inbox {
-		r, ok := msg.Payload.(row)
-		if !ok {
-			continue
-		}
-		for id, nbrs := range r.Entries {
-			if _, known := m.rows[id]; !known {
-				m.rows[id] = nbrs
-				m.fresh = append(m.fresh, id)
-			}
-		}
-	}
-	sort.Ints(m.fresh)
-}
-
-// solveAndOutput reconstructs the known component and outputs this node's
-// bit of its canonical MIS.
-func (m *collectMachine) solveAndOutput(c *core.StageCtx) {
-	ids := make([]int, 0, len(m.rows))
-	for id := range m.rows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	idx := make(map[int]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	b := graph.NewBuilder(len(ids))
-	b.SetDomain(c.Info().D)
-	for i, id := range ids {
-		b.SetID(i, id)
-	}
-	for i, id := range ids {
-		for _, nb := range m.rows[id] {
-			if j, ok := idx[nb]; ok && i < j {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	sub := b.MustBuild()
-	out := exact.GreedyMISByID(sub)
-	c.Output(out[idx[c.ID()]])
-}
