@@ -66,8 +66,8 @@ alloc-guard:
 # the columnar hot path (CSR build, arena inboxes, frontier compaction).
 # EXPERIMENTS.md's scale table holds the full 1M/10M numbers.
 bench-smoke:
-	$(GO) run ./cmd/dgp-bench -nodes 100000
-	$(GO) run ./cmd/dgp-bench -nodes 100000 -par
+	$(GO) run ./cmd/dgp-bench -exp scale -nodes 100000
+	$(GO) run ./cmd/dgp-bench -exp scale -nodes 100000 -par
 
 # Brief coverage-guided runs of the committed fuzz targets; the seed corpora
 # under testdata/fuzz always run as part of `make test`.
@@ -90,8 +90,8 @@ shard-smoke:
 	/tmp/dgp-trace diff /tmp/unsharded.jsonl /tmp/shard1.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -shards 4 -trace /tmp/sharded.jsonl
 	/tmp/dgp-trace diff -drop shard-exchange /tmp/unsharded.jsonl /tmp/sharded.jsonl
-	$(GO) run ./cmd/dgp-bench -shards 1,2,4,8
-	$(GO) run ./cmd/dgp-bench -shards 1,2,4,8 -par
+	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4,8
+	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4,8 -par
 
 # The performance ledger (DESIGN.md §13): every sweep also emits a
 # machine-readable BENCH_<experiment>.json, and dgp-perf gates head ledgers
@@ -101,10 +101,10 @@ shard-smoke:
 # committed baseline is portable across machines.
 PERF_LEDGER_DIR ?= /tmp/perf-ledger
 perf-ledger:
-	$(GO) run ./cmd/dgp-bench -chaos -bench-out $(PERF_LEDGER_DIR) > /dev/null
-	$(GO) run ./cmd/dgp-bench -dynamic -bench-out $(PERF_LEDGER_DIR) > /dev/null
-	$(GO) run ./cmd/dgp-bench -nodes 100000 -bench-out $(PERF_LEDGER_DIR) > /dev/null
-	$(GO) run ./cmd/dgp-bench -shards 1,2,4 -bench-out $(PERF_LEDGER_DIR) > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp chaos -bench-out $(PERF_LEDGER_DIR) > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp dynamic -bench-out $(PERF_LEDGER_DIR) > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp scale -nodes 100000 -bench-out $(PERF_LEDGER_DIR) > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4 -bench-out $(PERF_LEDGER_DIR) > /dev/null
 
 # The CI regression gate: regenerate head ledgers and compare against
 # testdata/perf/baseline; exits non-zero on any regression or coverage loss.
@@ -116,10 +116,10 @@ perf-gate: perf-ledger
 # rounds, lower boundary traffic, changed sweep shape) — the dgp-perf compare
 # output belongs in that PR's description.
 perf-baseline:
-	$(GO) run ./cmd/dgp-bench -chaos -bench-out testdata/perf/baseline > /dev/null
-	$(GO) run ./cmd/dgp-bench -dynamic -bench-out testdata/perf/baseline > /dev/null
-	$(GO) run ./cmd/dgp-bench -nodes 100000 -bench-out testdata/perf/baseline > /dev/null
-	$(GO) run ./cmd/dgp-bench -shards 1,2,4 -bench-out testdata/perf/baseline > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp chaos -bench-out testdata/perf/baseline > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp dynamic -bench-out testdata/perf/baseline > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp scale -nodes 100000 -bench-out testdata/perf/baseline > /dev/null
+	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4 -bench-out testdata/perf/baseline > /dev/null
 	$(GO) run ./cmd/dgp-perf validate testdata/perf/baseline
 
 # The dynamic-session path end to end: the update-stream CLI under stream
@@ -130,4 +130,4 @@ dynamic-smoke:
 	printf '{"seq":1,"insert":[[0,50],[1,60]]}\n{"seq":2,"delete":[[0,50]],"insert":[[2,70]]}\n{"seq":1,"insert":[[0,50]]}\n' > /tmp/updates.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 200 -seed 7 -updates /tmp/updates.jsonl -streamchaos 0.3
 	/tmp/dgp-run -problem mis -graph gnp -n 200 -seed 7 -updates /tmp/updates.jsonl -streamchaos 0.3 -parallel
-	$(GO) run ./cmd/dgp-bench -dynamic
+	$(GO) run ./cmd/dgp-bench -exp dynamic

@@ -8,46 +8,26 @@ import (
 	"repro/internal/bench"
 )
 
-// One testing.B benchmark per experiment table: each regenerates the
-// experiment (instances, sweeps, bound checks) end to end. The rendered
-// tables go to EXPERIMENTS.md via cmd/dgp-bench; here they are discarded.
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e := bench.Find(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, t := range e.Run() {
-			t.Render(io.Discard)
-		}
+// BenchmarkExperiments regenerates each paper experiment (instances,
+// sweeps, bound checks) end to end, one sub-benchmark per id:
+// BenchmarkExperiments/E1 ... /E22. The rendered tables go to
+// EXPERIMENTS.md via cmd/dgp-bench; here they are discarded.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables, _, err := e.Run(bench.Params{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, t := range tables {
+					t.Render(io.Discard)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE1GreedyMIS(b *testing.B)           { benchExperiment(b, "E1") }
-func BenchmarkE2SimpleTemplate(b *testing.B)      { benchExperiment(b, "E2") }
-func BenchmarkE3ConsecutiveTemplate(b *testing.B) { benchExperiment(b, "E3") }
-func BenchmarkE4InterleavedTemplate(b *testing.B) { benchExperiment(b, "E4") }
-func BenchmarkE5ParallelTemplate(b *testing.B)    { benchExperiment(b, "E5") }
-func BenchmarkE6WheelDiameter(b *testing.B)       { benchExperiment(b, "E6") }
-func BenchmarkE7GridBlackWhite(b *testing.B)      { benchExperiment(b, "E7") }
-func BenchmarkE8RootedTree(b *testing.B)          { benchExperiment(b, "E8") }
-func BenchmarkE9LubyComponents(b *testing.B)      { benchExperiment(b, "E9") }
-func BenchmarkE10ErrorMeasures(b *testing.B)      { benchExperiment(b, "E10") }
-func BenchmarkE11LineLowerBounds(b *testing.B)    { benchExperiment(b, "E11") }
-func BenchmarkE12Matching(b *testing.B)           { benchExperiment(b, "E12") }
-func BenchmarkE13VertexColoring(b *testing.B)     { benchExperiment(b, "E13") }
-func BenchmarkE14EdgeColoring(b *testing.B)       { benchExperiment(b, "E14") }
-func BenchmarkE15NetworkChurn(b *testing.B)       { benchExperiment(b, "E15") }
-func BenchmarkE16EngineParity(b *testing.B)       { benchExperiment(b, "E16") }
-func BenchmarkE17UniformReference(b *testing.B)   { benchExperiment(b, "E17") }
-func BenchmarkE18Tradeoff(b *testing.B)           { benchExperiment(b, "E18") }
-func BenchmarkE19MessageComplexity(b *testing.B)  { benchExperiment(b, "E19") }
-func BenchmarkE20GlobalVsLocal(b *testing.B)      { benchExperiment(b, "E20") }
-func BenchmarkE21ActiveDecay(b *testing.B)        { benchExperiment(b, "E21") }
-func BenchmarkE22CheckingCost(b *testing.B)       { benchExperiment(b, "E22") }
 
 // Micro-benchmarks of the core algorithms themselves, for engine and
 // algorithm performance tracking (rounds are fixed by determinism; this

@@ -33,7 +33,7 @@ func E1() []*Table {
 		{"paths-8x7", graph.DisjointPaths(8, 7)},
 	}
 	for _, c := range cases {
-		res := mustMIS(c.g, mis.Solo(mis.Greedy()), nil)
+		res := solve(c.g, "mis", mis.Solo(mis.Greedy()), nil)
 		mu1, mu2 := 0, 0
 		for _, comp := range c.g.Components() {
 			if len(comp) > mu1 {
@@ -49,7 +49,7 @@ func E1() []*Table {
 			}
 		}
 		t.AddRow(c.name, c.g.N(), res.Rounds, mu1, mu2+1,
-			boolCell(res.Rounds <= mu1), boolCell(mu2 < 0 || res.Rounds <= mu2+1))
+			res.Rounds <= mu1, mu2 < 0 || res.Rounds <= mu2+1)
 	}
 	t.Note("paper: rounds <= max mu1(S) (Lemma 1) and <= max mu2(S)+1 (Lemma 2)")
 	return []*Table{t}
@@ -67,10 +67,10 @@ func E2() []*Table {
 		for _, k := range []int{0, 1, 2, 4, 8, 16, 32, c.g.N()} {
 			preds := perturbed(c.g, k, int64(100+k))
 			eta1, eta2 := misErrors(c.g, preds)
-			res := mustMIS(c.g, mis.SimpleGreedy(), preds)
+			res := solve(c.g, "mis", mis.SimpleGreedy(), preds)
 			t.AddRow(c.name, k, eta1, eta2, res.Rounds,
-				boolCell(res.Rounds <= eta1+3),
-				boolCell(eta2 < 0 || res.Rounds <= eta2+4))
+				res.Rounds <= eta1+3,
+				eta2 < 0 || res.Rounds <= eta2+4)
 		}
 	}
 	t.Note("paper: consistency 3; eta1- and eta2-degrading (Observation 7 + Lemmas 1-2)")
@@ -94,18 +94,18 @@ func E3() []*Table {
 		for _, k := range []int{0, 2, 8, 32} {
 			preds := perturbed(c.g, k, int64(200+k))
 			eta1, _ := misErrors(c.g, preds)
-			resC := mustMIS(c.g, mis.ConsecutiveCollect(), preds)
-			deg.AddRow(c.name, "collect", k, eta1, resC.Rounds, boolCell(resC.Rounds <= 2*eta1+4))
-			resD := mustMIS(c.g, mis.ConsecutiveDecomp(7), preds)
-			deg.AddRow(c.name, "decomp", k, eta1, resD.Rounds, boolCell(resD.Rounds <= 2*eta1+4))
+			resC := solve(c.g, "mis", mis.ConsecutiveCollect(), preds)
+			deg.AddRow(c.name, "collect", k, eta1, resC.Rounds, resC.Rounds <= 2*eta1+4)
+			resD := solve(c.g, "mis", mis.ConsecutiveDecomp(7), preds)
+			deg.AddRow(c.name, "decomp", k, eta1, resD.Rounds, resD.Rounds <= 2*eta1+4)
 		}
 		worst := predict.Uniform(c.g.N(), 1)
-		resC := mustMIS(c.g, mis.ConsecutiveCollect(), worst)
-		refAloneC := mustMIS(c.g, mis.SimpleCollect(), worst)
+		resC := solve(c.g, "mis", mis.ConsecutiveCollect(), worst)
+		refAloneC := solve(c.g, "mis", mis.SimpleCollect(), worst)
 		rob.AddRow(c.name, "collect", resC.Rounds, refAloneC.Rounds,
 			float64(resC.Rounds)/float64(refAloneC.Rounds))
-		resD := mustMIS(c.g, mis.ConsecutiveDecomp(7), worst)
-		refAloneD := mustMIS(c.g, mis.Solo(decomp.Stage(7)), nil)
+		resD := solve(c.g, "mis", mis.ConsecutiveDecomp(7), worst)
+		refAloneD := solve(c.g, "mis", mis.Solo(decomp.Stage(7)), nil)
 		rob.AddRow(c.name, "decomp", resD.Rounds, refAloneD.Rounds,
 			float64(resD.Rounds)/float64(refAloneD.Rounds))
 	}
@@ -127,7 +127,7 @@ func E4() []*Table {
 		for _, k := range []int{0, 1, 4, 16, c.g.N()} {
 			preds := perturbed(c.g, k, int64(300+k))
 			eta1, _ := misErrors(c.g, preds)
-			res := mustMIS(c.g, mis.InterleavedDecomp(11), preds)
+			res := solve(c.g, "mis", mis.InterleavedDecomp(11), preds)
 			// Lemma 9's degradation counts only the U rounds plus matched R
 			// slices; with whole-phase slices the bound is 3 + 2*(eta1
 			// rounded up to whole slices).
@@ -137,7 +137,7 @@ func E4() []*Table {
 			if eta1 == 0 {
 				bound = 3
 			}
-			t.AddRow(c.name, k, eta1, res.Rounds, boolCell(res.Rounds <= bound), 3+2*sched)
+			t.AddRow(c.name, k, eta1, res.Rounds, res.Rounds <= bound, 3+2*sched)
 		}
 	}
 	t.Note("paper: consistency 3, 2f(eta)-degrading, robust w.r.t. R (Lemma 9);")
@@ -159,9 +159,9 @@ func E5() []*Table {
 		for _, k := range []int{0, 1, 2, 4, 8, 16, c.g.N()} {
 			preds := perturbed(c.g, k, int64(400+k))
 			eta1, eta2 := misErrors(c.g, preds)
-			res := mustMIS(c.g, mis.ParallelColoring(), preds)
+			res := solve(c.g, "mis", mis.ParallelColoring(), preds)
 			ok := eta2 < 0 || res.Rounds <= eta2+4 || res.Rounds <= refBound
-			t.AddRow(c.name, k, eta1, eta2, res.Rounds, boolCell(ok), refBound)
+			t.AddRow(c.name, k, eta1, eta2, res.Rounds, ok, refBound)
 		}
 	}
 	t.Note("paper: rounds <= min{eta2+4, O(Delta+log* d)} (Corollary 12);")
@@ -242,9 +242,9 @@ func addBWRow(t *Table, name string, g *graph.Graph, preds []int) {
 	comps := predict.ErrorComponents(g, active)
 	eta1 := predict.Eta1(comps)
 	etaBW := predict.EtaBW(g, preds, active)
-	resG := mustMIS(g, mis.SimpleBase(), preds)
-	resBW := mustMIS(g, core.Sequence(mis.NewMemory, mis.Base(), mis.BWGreedy(0)), preds)
-	resInit := mustMIS(g, mis.SimpleGreedy(), preds)
+	resG := solve(g, "mis", mis.SimpleBase(), preds)
+	resBW := solve(g, "mis", core.Sequence(mis.NewMemory, mis.Base(), mis.BWGreedy(0)), preds)
+	resInit := solve(g, "mis", mis.SimpleGreedy(), preds)
 	t.AddRow(name, g.N(), eta1, etaBW, resG.Rounds, resBW.Rounds, resInit.Rounds)
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tree"
 	"repro/internal/vcolor"
-	"repro/internal/verify"
 )
 
 // E8 — Section 9.2 / Corollary 15: rooted-tree MIS with predictions tracks
@@ -40,11 +39,11 @@ func E8() []*Table {
 			active := predict.MISBaseActive(tc.r.G, preds)
 			eta1 := predict.Eta1(predict.ErrorComponents(tc.r.G, active))
 			etaT := tree.EtaT(tc.r, preds, active)
-			resS := mustMIS(tc.r.G, tree.SimpleRootsLeaves(tc.r), preds)
-			resP := mustMIS(tc.r.G, tree.ParallelColoring(tc.r), preds)
+			resS := solve(tc.r.G, "mis", tree.SimpleRootsLeaves(tc.r), preds)
+			resP := solve(tc.r.G, "mis", tree.ParallelColoring(tc.r), preds)
 			cvBound := 4 + tree.CVRounds(tc.r.G.D()) + 1 + 2 + 2
 			t.AddRow(tc.name, k, eta1, etaT, resS.Rounds,
-				boolCell(resS.Rounds <= (etaT+1)/2+5), resP.Rounds, cvBound)
+				resS.Rounds <= (etaT+1)/2+5, resP.Rounds, cvBound)
 		}
 	}
 	mod3 := &Table{
@@ -58,8 +57,8 @@ func E8() []*Table {
 		active := predict.MISBaseActive(r.G, preds)
 		eta1 := predict.Eta1(predict.ErrorComponents(r.G, active))
 		etaT := tree.EtaT(r, preds, active)
-		resTree := mustMIS(r.G, tree.SimpleRootsLeaves(r), preds)
-		resGen := mustMIS(r.G, mis.SimpleGreedy(), preds)
+		resTree := solve(r.G, "mis", tree.SimpleRootsLeaves(r), preds)
+		resGen := solve(r.G, "mis", mis.SimpleGreedy(), preds)
 		mod3.AddRow(3*k, eta1, etaT, resTree.Rounds, resGen.Rounds)
 	}
 	mod3.Note("paper: eta1 = 3k but the tree initialization terminates everyone by round 2 (eta_t = 2)")
@@ -85,11 +84,11 @@ func E9() []*Table {
 		eta1, _ := misErrors(g, preds)
 		var many, one []int
 		for s := int64(0); s < trials; s++ {
-			many = append(many, mustMIS(g, mis.SimpleLuby(1000+s), preds).Rounds)
-			one = append(one, mustMIS(single, mis.SimpleLuby(2000+s), predsSingle).Rounds)
+			many = append(many, solve(g, "mis", mis.SimpleLuby(1000+s), preds).Rounds)
+			one = append(one, solve(single, "mis", mis.SimpleLuby(2000+s), predsSingle).Rounds)
 		}
 		sm, so := stats.Summarize(many), stats.Summarize(one)
-		resG := mustMIS(g, mis.SimpleGreedy(), preds)
+		resG := solve(g, "mis", mis.SimpleGreedy(), preds)
 		t.AddRow(pathLen, count, g.N(), eta1,
 			fmt.Sprintf("%.2f±%.2f (%d)", sm.Mean, sm.Std, sm.P90),
 			fmt.Sprintf("%.2f±%.2f (%d)", so.Mean, so.Std, so.P90),
@@ -135,7 +134,7 @@ func E10() []*Table {
 			// survivors after round 3 via the smaller measure directly.
 			initEta1 := initActiveEta1(c.g, preds)
 			t.AddRow(c.name, k, etaH, eta1, eta2, etaBW,
-				boolCell(eta2 <= eta1), boolCell(etaBW <= eta1), boolCell(initEta1 <= eta1))
+				eta2 <= eta1, etaBW <= eta1, initEta1 <= eta1)
 		}
 	}
 	t.Note("paper: eta2 <= eta1, eta_bw <= eta1, and measures over a reasonable initialization's")
@@ -185,13 +184,13 @@ func E11() []*Table {
 	}
 	for _, n := range []int{64, 128, 256, 512} {
 		g := graph.Line(n)
-		resMIS := mustMIS(g, mis.Solo(mis.Greedy()), nil)
-		resMatch := mustRun(g, matching.Solo(matching.MeasureUniform(0)), nil)
-		resV := mustRun(g, vcolor.Solo(vcolor.MeasureUniform(0)), nil)
-		resE := mustRun(g, ecolor.Solo(ecolor.MeasureUniform(0)), nil)
+		resMIS := solve(g, "mis", mis.Solo(mis.Greedy()), nil)
+		resMatch := solve(g, "matching", matching.Solo(matching.MeasureUniform(0)), nil)
+		resV := solve(g, "vcolor", vcolor.Solo(vcolor.MeasureUniform(0)), nil)
+		resE := solve(g, "ecolor", ecolor.Solo(ecolor.MeasureUniform(0)), nil)
 		rng := rand.New(rand.NewSource(int64(n)))
 		shuffled := graph.ShuffleIDs(g, n, rng)
-		resRand := mustMIS(shuffled, mis.Solo(mis.Greedy()), nil)
+		resRand := solve(shuffled, "mis", mis.Solo(mis.Greedy()), nil)
 		t.AddRow(n, resMIS.Rounds, (n-5)/2, resMatch.Rounds, (n-3)/2,
 			resV.Rounds, resE.Rounds, resRand.Rounds)
 	}
@@ -208,10 +207,10 @@ func E11() []*Table {
 	}
 	for _, n := range []int{5, 6, 7, 8} {
 		misWorst := worstOverPermutations(n, func(g *graph.Graph) int {
-			return mustMIS(g, mis.Solo(mis.Greedy()), nil).Rounds
+			return solve(g, "mis", mis.Solo(mis.Greedy()), nil).Rounds
 		})
 		matchWorst := worstOverPermutations(n, func(g *graph.Graph) int {
-			return mustMatching(g, matching.Solo(matching.MeasureUniform(0)), nil).Rounds
+			return solve(g, "matching", matching.Solo(matching.MeasureUniform(0)), nil).Rounds
 		})
 		worst.AddRow(n, factorial(n), misWorst, (n-5)/2, matchWorst, (n-3)/2)
 	}
@@ -271,24 +270,15 @@ func E12() []*Table {
 			preds := predict.PerturbMatching(c.g, perfect, k, rng)
 			active := predict.MatchingBaseActive(c.g, preds)
 			eta1 := predict.Eta1(predict.ErrorComponents(c.g, active))
-			resS := mustMatching(c.g, matching.SimpleGreedy(), preds)
-			resC := mustMatching(c.g, matching.ConsecutiveCollect(), preds)
-			resP := mustMatching(c.g, matching.ParallelColoring(), preds)
+			resS := solve(c.g, "matching", matching.SimpleGreedy(), preds)
+			resC := solve(c.g, "matching", matching.ConsecutiveCollect(), preds)
+			resP := solve(c.g, "matching", matching.ParallelColoring(), preds)
 			t.AddRow(c.name, k, eta1, resS.Rounds,
-				boolCell(resS.Rounds <= 3*(eta1/2)+5), resC.Rounds, resP.Rounds)
+				resS.Rounds <= 3*(eta1/2)+5, resC.Rounds, resP.Rounds)
 		}
 	}
 	t.Note("paper: base 2 rounds; measure-uniform <= 3*floor(s/2) per component (Section 8.1)")
 	return []*Table{t}
-}
-
-func mustMatching(g *graph.Graph, factory runtime.Factory, preds []int) *runtime.Result {
-	res := mustRun(g, factory, intPreds(preds))
-	out := intOutputs(g, res)
-	if err := verify.Matching(g, out); err != nil {
-		panic(fmt.Sprintf("bench: invalid matching: %v", err))
-	}
-	return res
 }
 
 // E13 — Section 8.2: (Δ+1)-vertex coloring with predictions.
@@ -306,25 +296,16 @@ func E13() []*Table {
 			preds := predict.PerturbVColor(c.g, perfect, k, rng)
 			active := predict.VColorBaseActive(c.g, preds)
 			eta1 := predict.Eta1(predict.ErrorComponents(c.g, active))
-			resS := mustVColor(c.g, vcolor.SimpleGreedy(), preds)
-			resC := mustVColor(c.g, vcolor.ConsecutiveLinial(), preds)
-			resI := mustVColor(c.g, vcolor.InterleavedLinial(), preds)
-			resP := mustVColor(c.g, vcolor.ParallelLinial(), preds)
+			resS := solve(c.g, "vcolor", vcolor.SimpleGreedy(), preds)
+			resC := solve(c.g, "vcolor", vcolor.ConsecutiveLinial(), preds)
+			resI := solve(c.g, "vcolor", vcolor.InterleavedLinial(), preds)
+			resP := solve(c.g, "vcolor", vcolor.ParallelLinial(), preds)
 			t.AddRow(c.name, k, eta1, resS.Rounds,
-				boolCell(resS.Rounds <= eta1+2), resC.Rounds, resI.Rounds, resP.Rounds, bound)
+				resS.Rounds <= eta1+2, resC.Rounds, resI.Rounds, resP.Rounds, bound)
 		}
 	}
 	t.Note("paper: base 2 rounds, no clean-up needed; measure-uniform <= s per component (Section 8.2)")
 	return []*Table{t}
-}
-
-func mustVColor(g *graph.Graph, factory runtime.Factory, preds []int) *runtime.Result {
-	res := mustRun(g, factory, intPreds(preds))
-	out := intOutputs(g, res)
-	if err := verify.VColor(g, out); err != nil {
-		panic(fmt.Sprintf("bench: invalid coloring: %v", err))
-	}
-	return res
 }
 
 // E14 — Section 8.3: (2Δ−1)-edge coloring with predictions.
@@ -341,47 +322,18 @@ func E14() []*Table {
 			preds := predict.PerturbEColor(c.g, perfect, k, rng)
 			uncolored := predict.EColorBaseUncolored(c.g, preds)
 			eta1 := predict.Eta1(predict.EdgeErrorComponents(c.g, uncolored))
-			resS := mustEColor(c.g, ecolor.SimpleGreedy(), preds)
-			resC := mustEColor(c.g, ecolor.ConsecutiveCollect(), preds)
-			resP := mustEColor(c.g, ecolor.ParallelColoring(), preds)
+			resS := solve(c.g, "ecolor", ecolor.SimpleGreedy(), preds)
+			resC := solve(c.g, "ecolor", ecolor.ConsecutiveCollect(), preds)
+			resP := solve(c.g, "ecolor", ecolor.ParallelColoring(), preds)
 			bound := 2*eta1 + 2
 			if eta1 == 0 {
 				bound = 2
 			}
-			t.AddRow(c.name, k, eta1, resS.Rounds, boolCell(resS.Rounds <= bound), resC.Rounds, resP.Rounds)
+			t.AddRow(c.name, k, eta1, resS.Rounds, resS.Rounds <= bound, resC.Rounds, resP.Rounds)
 		}
 	}
 	t.Note("paper: base <= 2 rounds; measure-uniform <= 2s-3 per component (Section 8.3)")
 	return []*Table{t}
-}
-
-func mustEColor(g *graph.Graph, factory runtime.Factory, preds []predict.EdgePrediction) *runtime.Result {
-	var anyPreds []any
-	if preds != nil {
-		anyPreds = make([]any, len(preds))
-		for i, p := range preds {
-			anyPreds[i] = []int(p)
-		}
-	}
-	res := mustRun(g, factory, anyPreds)
-	outs := make([][]int, g.N())
-	for i, o := range res.Outputs {
-		v, ok := o.([]int)
-		if !ok {
-			panic(fmt.Sprintf("bench: node %d output %T", g.ID(i), o))
-		}
-		outs[i] = v
-	}
-	colors, err := verify.NodeEdgeColorsAgree(g, outs)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	if g.M() > 0 {
-		if err := verify.EColor(g, colors); err != nil {
-			panic(fmt.Sprintf("bench: invalid edge coloring: %v", err))
-		}
-	}
-	return res
 }
 
 // E15 — Section 1.1: the motivating scenario — an MIS computed on one
@@ -398,11 +350,11 @@ func E15() []*Table {
 		g := graph.FlipEdges(base, churn, rng)
 		preds := predict.MISFromRelatedGraph(g, base)
 		eta1, eta2 := misErrors(g, preds)
-		rS := mustMIS(g, mis.SimpleGreedy(), preds)
-		rC := mustMIS(g, mis.ConsecutiveDecomp(15), preds)
-		rI := mustMIS(g, mis.InterleavedDecomp(15), preds)
-		rP := mustMIS(g, mis.ParallelColoring(), preds)
-		rScratch := mustMIS(g, mis.Solo(mis.Greedy()), nil)
+		rS := solve(g, "mis", mis.SimpleGreedy(), preds)
+		rC := solve(g, "mis", mis.ConsecutiveDecomp(15), preds)
+		rI := solve(g, "mis", mis.InterleavedDecomp(15), preds)
+		rP := solve(g, "mis", mis.ParallelColoring(), preds)
+		rScratch := solve(g, "mis", mis.Solo(mis.Greedy()), nil)
 		t.AddRow(churn, eta1, eta2, rS.Rounds, rC.Rounds, rI.Rounds, rP.Rounds, rScratch.Rounds)
 	}
 	t.Note("paper motivation (Section 1.1): small churn -> small eta -> near-consistent rounds,")
@@ -434,20 +386,15 @@ func E16() []*Table {
 		{"collect", mis.SimpleCollect(), preds},
 	}
 	for _, c := range cases {
-		seq := mustRun(g, c.factory, intPreds(c.preds))
-		par, err := runtime.Run(runtime.Config{
-			Graph: g, Factory: c.factory, Predictions: intPreds(c.preds), Parallel: true,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: parallel run: %v", err))
-		}
+		seq := solve(g, "mis", c.factory, c.preds)
+		par := solve(g, "mis", c.factory, c.preds, func(cfg *runtime.Config) { cfg.Parallel = true })
 		agree := seq.Rounds == par.Rounds
 		for i := range seq.Outputs {
 			if seq.Outputs[i] != par.Outputs[i] {
 				agree = false
 			}
 		}
-		t.AddRow(c.name, seq.Rounds, par.Rounds, boolCell(agree), seq.Messages, seq.MaxMsgBits)
+		t.AddRow(c.name, seq.Rounds, par.Rounds, agree, seq.Messages, seq.MaxMsgBits)
 	}
 	t.Note("every payload is size-accounted: LOCAL-by-design algorithms (collect/decomp floods)")
 	t.Note("report their true linear payload sizes; max msg bits -1 marks runs that delivered")

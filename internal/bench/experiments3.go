@@ -8,7 +8,6 @@ import (
 	"repro/internal/mis"
 	"repro/internal/predict"
 	"repro/internal/runtime"
-	"repro/internal/verify"
 )
 
 // E17 — Section 7.1 (second Simple-Template example): a reference that is
@@ -31,32 +30,15 @@ func E17() []*Table {
 		star := graph.Star(starSize)
 		g := graph.DisjointUnion(star, ring)
 		preds := append(predict.PerfectMIS(star), ringPreds...)
-		res := mustUniform(g, preds)
-		collect := mustMIS(g, mis.SimpleCollect(), preds)
+		info := runtime.NodeInfo{N: g.N(), D: g.D(), Delta: g.MaxDegree()}
+		res := solve(g, "mis", mis.SimpleUniform(), preds, maxRounds(mis.UniformMaxRounds(info)))
+		collect := solve(g, "mis", mis.SimpleCollect(), preds)
 		t.AddRow(starSize, g.N(), g.MaxDegree(), 2, res.Rounds, collect.Rounds)
 	}
 	t.Note("paper: with a Delta-uniform reference the Simple Template runs in rounds governed by")
 	t.Note("Delta' (the error components' maximum degree) and log* d — flat as the perfectly")
 	t.Note("predicted star grows — while a reference with a global bound (collect: n+1) scales with n")
 	return []*Table{t}
-}
-
-func mustUniform(g *graph.Graph, preds []int) *runtime.Result {
-	info := runtime.NodeInfo{N: g.N(), D: g.D(), Delta: g.MaxDegree()}
-	res, err := runtime.Run(runtime.Config{
-		Graph:       g,
-		Factory:     mis.SimpleUniform(),
-		Predictions: intPreds(preds),
-		MaxRounds:   mis.UniformMaxRounds(info),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: uniform run: %v", err))
-	}
-	out := intOutputs(g, res)
-	if err := verify.MIS(g, out); err != nil {
-		panic(fmt.Sprintf("bench: invalid MIS: %v", err))
-	}
-	return res
 }
 
 // E18 — Section 10 open problem: a consistency/robustness trade-off knob.
@@ -78,10 +60,10 @@ func E18() []*Table {
 		row := []any{fmt.Sprintf("%.3f", lambda)}
 		for _, k := range []int{0, 8, 64} {
 			preds := predict.FlipBits(perfect, k, rand.New(rand.NewSource(int64(700+k))))
-			res := mustTradeoff(g, preds, lambda)
+			res := solve(g, "mis", mis.ConsecutiveTradeoff(lambda, 13), preds, maxRounds(64*g.N()))
 			row = append(row, res.Rounds)
 		}
-		worst := mustTradeoff(g, predict.Uniform(g.N(), 1), lambda)
+		worst := solve(g, "mis", mis.ConsecutiveTradeoff(lambda, 13), predict.Uniform(g.N(), 1), maxRounds(64*g.N()))
 		row = append(row, worst.Rounds)
 		t.AddRow(row...)
 	}
@@ -89,23 +71,6 @@ func E18() []*Table {
 	t.Note("even at moderate error; large lambda degrades linearly with eta but risks ~n rounds —")
 	t.Note("the trade-off the paper asks about in Section 10")
 	return []*Table{t}
-}
-
-func mustTradeoff(g *graph.Graph, preds []int, lambda float64) *runtime.Result {
-	res, err := runtime.Run(runtime.Config{
-		Graph:       g,
-		Factory:     mis.ConsecutiveTradeoff(lambda, 13),
-		Predictions: intPreds(preds),
-		MaxRounds:   64 * g.N(),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: tradeoff run: %v", err))
-	}
-	out := intOutputs(g, res)
-	if err := verify.MIS(g, out); err != nil {
-		panic(fmt.Sprintf("bench: invalid MIS: %v", err))
-	}
-	return res
 }
 
 func identity(n int) []int {
@@ -157,7 +122,7 @@ func E19() []*Table {
 				preds = predict.Uniform(c.g.N(), 1)
 			}
 			for _, tmpl := range templates {
-				res := mustMIS(c.g, tmpl.factory, preds)
+				res := solve(c.g, "mis", tmpl.factory, preds)
 				t.AddRow(c.name, k, tmpl.name, res.Rounds, res.Messages, res.MaxMsgBits)
 			}
 		}

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
-	"repro/internal/check"
 	"repro/internal/ecolor"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -59,8 +59,8 @@ func E20() []*Table {
 			}
 		}
 		eta1, _ := misErrors(g, c.preds)
-		resS := mustMIS(g, mis.SimpleGreedy(), c.preds)
-		resP := mustMIS(g, mis.ParallelColoring(), c.preds)
+		resS := solve(g, "mis", mis.SimpleGreedy(), c.preds)
+		resP := solve(g, "mis", mis.ParallelColoring(), c.preds)
 		t.AddRow(c.name, flips, eta1, resS.Rounds, resP.Rounds)
 	}
 	t.Note("both patterns corrupt 8 bits, but the scattered errors split across 8 components")
@@ -92,11 +92,8 @@ func E21() []*Table {
 	for _, tmpl := range templates {
 		var series []string
 		last := -1
-		_, err := runtime.Run(runtime.Config{
-			Graph:       g,
-			Factory:     tmpl.factory,
-			Predictions: intPreds(preds),
-			Observer: func(round int, outputs []any, active []bool) {
+		solve(g, "mis", tmpl.factory, preds, func(cfg *runtime.Config) {
+			cfg.Observer = func(round int, outputs []any, active []bool) {
 				count := 0
 				for _, a := range active {
 					if a {
@@ -109,28 +106,14 @@ func E21() []*Table {
 					series = append(series, fmt.Sprintf("%d:%d", round, count))
 					last = count
 				}
-			},
+			}
 		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: decay run: %v", err))
-		}
-		t.AddRow(tmpl.name, joinSeries(series))
+		t.AddRow(tmpl.name, strings.Join(series, " "))
 	}
 	t.Note("simple (Greedy on ascending IDs) sheds ~2 nodes per round; the parallel template's")
 	t.Note("coloring lane clears the line right after its O(log* d) section; the interleaved")
 	t.Note("template alternates Greedy slices with decomposition phases")
 	return []*Table{t}
-}
-
-func joinSeries(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
 }
 
 // E22 — Section 1.2's consistency calibration: an algorithm with predictions
@@ -147,29 +130,20 @@ func E22() []*Table {
 	rng := rand.New(rand.NewSource(22))
 	g := graph.GNP(80, 0.08, rng)
 
-	misPreds := predict.PerfectMIS(g)
-	checkRounds := mustRun(g, check.MIS(), intPreds(misPreds)).Rounds
-	consist := mustMIS(g, mis.SimpleGreedy(), misPreds).Rounds
-	t.AddRow("mis", checkRounds, consist, boolCell(consist <= 2*checkRounds))
-
-	mPreds := predict.PerfectMatching(g)
-	checkRounds = mustRun(g, check.Matching(), intPreds(mPreds)).Rounds
-	consist = mustMatching(g, matching.SimpleGreedy(), mPreds).Rounds
-	t.AddRow("matching", checkRounds, consist, boolCell(consist <= 2*checkRounds))
-
-	vPreds := predict.PerfectVColor(g)
-	checkRounds = mustRun(g, check.VColor(), intPreds(vPreds)).Rounds
-	consist = mustVColor(g, vcolor.SimpleGreedy(), vPreds).Rounds
-	t.AddRow("vcolor", checkRounds, consist, boolCell(consist <= 2*checkRounds))
-
-	ePreds := predict.PerfectEColor(g)
-	anyE := make([]any, len(ePreds))
-	for i, p := range ePreds {
-		anyE[i] = []int(p)
+	for _, c := range []struct {
+		problem string
+		perfect any
+		simple  runtime.Factory
+	}{
+		{"mis", predict.PerfectMIS(g), mis.SimpleGreedy()},
+		{"matching", predict.PerfectMatching(g), matching.SimpleGreedy()},
+		{"vcolor", predict.PerfectVColor(g), vcolor.SimpleGreedy()},
+		{"ecolor", predict.PerfectEColor(g), ecolor.SimpleGreedy()},
+	} {
+		checker := checkRounds(g, c.problem, c.perfect)
+		consist := solve(g, c.problem, c.simple, c.perfect).Rounds
+		t.AddRow(c.problem, checker, consist, consist <= 2*checker)
 	}
-	checkRounds = mustRun(g, check.EColor(), anyE).Rounds
-	consist = mustEColor(g, ecolor.SimpleGreedy(), ePreds).Rounds
-	t.AddRow("ecolor", checkRounds, consist, boolCell(consist <= 2*checkRounds))
 
 	t.Note("paper: consistency is defined relative to the optimal checking cost; every")
 	t.Note("initialization here finishes error-free instances within 2x its problem's checker")

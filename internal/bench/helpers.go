@@ -4,56 +4,71 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/predict"
+	"repro/internal/problem"
 	"repro/internal/runtime"
-	"repro/internal/verify"
 )
 
 // The harness treats any engine or verification error as a programming bug
 // and panics with context; experiments are deterministic, so a panic here is
 // reproducible and caught by the benchmark tests.
 
-// mustRun executes a factory and returns the result.
-func mustRun(g *graph.Graph, factory runtime.Factory, preds []any) *runtime.Result {
-	res, err := runtime.Run(runtime.Config{Graph: g, Factory: factory, Predictions: preds})
-	if err != nil {
-		panic(fmt.Sprintf("bench: run failed: %v", err))
+// solve runs factory on g through the named problem's descriptor: preds are
+// encoded by its EncodePreds, and the outputs must pass its Finalize. The
+// options adjust the engine configuration (round cap, parallel engine,
+// observer) before the run.
+func solve(g *graph.Graph, name string, factory runtime.Factory, preds any, opts ...func(*runtime.Config)) *runtime.Result {
+	d := descriptor(name)
+	res := run(g, d, factory, preds, opts)
+	if _, err := d.Finalize(g, nil, res.Outputs); err != nil {
+		panic(fmt.Sprintf("bench: invalid %s output: %v", name, err))
 	}
 	return res
 }
 
-// mustMIS runs an MIS factory and verifies the output.
-func mustMIS(g *graph.Graph, factory runtime.Factory, preds []int) *runtime.Result {
-	res := mustRun(g, factory, intPreds(preds))
-	out := intOutputs(g, res)
-	if err := verify.MIS(g, out); err != nil {
-		panic(fmt.Sprintf("bench: invalid MIS: %v", err))
-	}
-	return res
-}
-
-func intPreds(preds []int) []any {
-	if preds == nil {
-		return nil
-	}
-	out := make([]any, len(preds))
-	for i, p := range preds {
-		out[i] = p
-	}
-	return out
-}
-
-func intOutputs(g *graph.Graph, res *runtime.Result) []int {
-	out := make([]int, g.N())
+// checkRounds runs the named problem's distributed checker on a candidate
+// solution, which every node must accept, and returns its round count.
+func checkRounds(g *graph.Graph, name string, candidate any) int {
+	d := descriptor(name)
+	res := run(g, d, d.Checker(), candidate, nil)
 	for i, o := range res.Outputs {
-		v, ok := o.(int)
-		if !ok {
-			panic(fmt.Sprintf("bench: node %d output %T, want int", g.ID(i), o))
+		if o != check.Accept {
+			panic(fmt.Sprintf("bench: %s checker rejected node %d", name, g.ID(i)))
 		}
-		out[i] = v
 	}
-	return out
+	return res.Rounds
+}
+
+func descriptor(name string) *problem.Descriptor {
+	d, err := problem.Get(name)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return d
+}
+
+// run encodes preds through d and runs factory on g with them.
+func run(g *graph.Graph, d *problem.Descriptor, factory runtime.Factory, preds any, opts []func(*runtime.Config)) *runtime.Result {
+	encoded, err := d.EncodePreds(preds)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	cfg := runtime.Config{Graph: g, Factory: factory, Predictions: encoded}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	res, err := runtime.Run(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s run failed: %v", d.Name, err))
+	}
+	return res
+}
+
+// maxRounds caps a solve's engine run.
+func maxRounds(n int) func(*runtime.Config) {
+	return func(c *runtime.Config) { c.MaxRounds = n }
 }
 
 // misErrors computes (η₁, η₂) for an MIS instance; η₂ is -1 when a component
@@ -91,12 +106,4 @@ func misInstances() []instance {
 		{"tree-127", graph.RandomTree(127, rng)},
 		{"hcube-7", graph.Hypercube(7)},
 	}
-}
-
-// boolCell renders a bound check.
-func boolCell(ok bool) string {
-	if ok {
-		return "yes"
-	}
-	return "NO"
 }
