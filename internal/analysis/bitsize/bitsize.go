@@ -6,9 +6,11 @@
 // results depend on ruling out.
 //
 // Checked sites: composite literals of the runtime.Out message struct,
-// assignments to an Out's Payload field, and the payload argument of
-// Broadcast/BroadcastTo. Payloads typed as interfaces are skipped (they are
-// checked where their concrete values are built).
+// assignments to an Out's Payload field, and the payload — the last
+// argument — of every Broadcast/BroadcastTo/BroadcastActive call: the
+// runtime.Broadcast, Env.Broadcast, and the core.StageCtx outbox builders.
+// Payloads typed as interfaces are skipped (they are checked where their
+// concrete values are built).
 package bitsize
 
 import (
@@ -104,16 +106,16 @@ func checkBroadcast(pass *analysis.Pass, call *ast.CallExpr) {
 	default:
 		return
 	}
-	if name != "Broadcast" && name != "BroadcastTo" {
+	if name != "Broadcast" && name != "BroadcastTo" && name != "BroadcastActive" {
 		return
 	}
 	if _, ok := exprFunc(pass, call.Fun); !ok {
 		return
 	}
-	if len(call.Args) != 2 {
+	if len(call.Args) == 0 {
 		return
 	}
-	checkPayloadExpr(pass, call.Args[1])
+	checkPayloadExpr(pass, call.Args[len(call.Args)-1])
 }
 
 func checkPayloadAssign(pass *analysis.Pass, s *ast.AssignStmt) {

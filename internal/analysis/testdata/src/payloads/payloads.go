@@ -27,6 +27,14 @@ func Broadcast(n int, p any) []Out { return nil }
 
 func BroadcastTo(ids []int, p any) []Out { return nil }
 
+// Ctx mirrors core.StageCtx's outbox builders, whose payload is the last
+// (for Broadcast, the only) argument.
+type Ctx struct{}
+
+func (*Ctx) Broadcast(p any) []Out { return nil }
+
+func (*Ctx) BroadcastActive(done []int, p any) []Out { return nil }
+
 func build(to int) []Out {
 	outs := []Out{
 		{To: to, Payload: sized{V: 1}},
@@ -41,6 +49,11 @@ func build(to int) []Out {
 	outs = append(outs, o)
 	outs = append(outs, Broadcast(to, unsized{})...) // want `payload type unsized does not implement BitSized`
 	outs = append(outs, BroadcastTo([]int{to}, sized{})...)
+	var c Ctx
+	outs = append(outs, c.Broadcast(unsized{})...) // want `payload type unsized does not implement BitSized`
+	outs = append(outs, c.Broadcast(sized{})...)
+	outs = append(outs, c.BroadcastActive(nil, unsized{})...) // want `payload type unsized does not implement BitSized`
+	outs = append(outs, c.BroadcastActive(nil, &ptrSized{})...)
 	return outs
 }
 

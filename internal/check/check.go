@@ -56,7 +56,7 @@ type misChecker struct {
 
 func (m *misChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.bit})
+		return c.Broadcast(bitMsg{V: m.bit})
 	}
 	verdict := Accept
 	if m.bit == 1 && m.sawSame {
@@ -105,7 +105,7 @@ type matchChecker struct {
 
 func (m *matchChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.pred})
+		return c.Broadcast(bitMsg{V: m.pred})
 	}
 	c.Output(m.verdict(c.Info()))
 	return nil
@@ -155,7 +155,7 @@ type vcolorChecker struct {
 
 func (m *vcolorChecker) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
-		return runtime.Broadcast(c.Info(), bitMsg{V: m.pred})
+		return c.Broadcast(bitMsg{V: m.pred})
 	}
 	if m.bad || m.pred < 1 || m.pred > c.Info().Delta+1 {
 		c.Output(Reject)

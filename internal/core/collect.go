@@ -82,7 +82,7 @@ func (m *collectMachine) Send(c *StageCtx) []runtime.Out {
 		entries[id] = m.rows[id]
 	}
 	m.fresh = nil
-	return runtime.BroadcastTo(m.mem.ActiveNeighbors(info), row{Entries: entries})
+	return c.BroadcastTo(m.mem.ActiveNeighbors(info), row{Entries: entries})
 }
 
 func (m *collectMachine) Receive(c *StageCtx, inbox []runtime.Msg) {

@@ -20,7 +20,7 @@ type laneRecorder struct {
 
 func (m *laneRecorder) Send(c *core.StageCtx) []runtime.Out {
 	m.tr.events = append(m.tr.events, m.label)
-	return runtime.Broadcast(c.Info(), ping{Stage: m.label})
+	return c.Broadcast(ping{Stage: m.label})
 }
 
 func (m *laneRecorder) Receive(c *core.StageCtx, inbox []runtime.Msg) {

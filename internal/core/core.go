@@ -6,9 +6,13 @@
 // combinators over those stages.
 //
 // Stage machines are written exactly like ordinary per-node machines; the
-// combinators multiplex their messages onto the underlying network by tagging
-// each payload with the stage or lane it belongs to, so the composed
-// algorithms use their components as black boxes, as the paper prescribes.
+// combinators multiplex their messages onto the underlying network by
+// stamping each message's runtime.Out.Tag header with the lane and stage it
+// belongs to, and check the header of every delivery before handing the
+// engine's inbox view unchanged to the stage, so the composed algorithms use
+// their components as black boxes, as the paper prescribes. A stage builds
+// its broadcasts in a reusable per-node outbox (StageCtx.Broadcast and
+// friends), so steady-state template rounds allocate nothing per message.
 // A per-node shared memory (created once per node, visible to every stage of
 // that node) carries the knowledge the paper assumes persists across stages,
 // such as which neighbors have terminated with which outputs.
@@ -58,6 +62,10 @@ type StageCtx struct {
 	mem        any
 	stageRound int
 	yielded    bool
+	// outbox backs Broadcast/BroadcastTo/BroadcastActive: the node's
+	// reusable []Out, rebuilt in place by each call. The engine reads the
+	// slice a Send returned only until the round's routing is done.
+	outbox []runtime.Out
 }
 
 // Info returns the node's static information.
@@ -105,6 +113,53 @@ func (c *StageCtx) Tracing() bool { return c.env.Tracing() }
 // Annotate); the combinators use it to mark stage and lane transitions.
 func (c *StageCtx) Annotate(name string, value int64) { c.env.Annotate(name, value) }
 
+// Broadcast returns one Out per neighbor carrying payload, built in the
+// node's reusable outbox: return it from Send. It replaces the previous
+// outbox contents, so call at most one of the Broadcast methods per Send.
+//
+//dgp:hotpath
+func (c *StageCtx) Broadcast(payload any) []runtime.Out {
+	return c.BroadcastTo(c.env.Info().NeighborIDs, payload)
+}
+
+// BroadcastTo is Broadcast to the listed destinations.
+//
+//dgp:hotpath
+func (c *StageCtx) BroadcastTo(dests []int, payload any) []runtime.Out {
+	ob := c.reserve(len(dests))[:0]
+	for _, to := range dests {
+		ob = append(ob, runtime.Out{To: to, Payload: payload})
+	}
+	c.outbox = ob
+	return ob
+}
+
+// BroadcastActive is Broadcast to the neighbors with no entry in done, in
+// ascending identifier order: with done the table of terminated neighbors'
+// outputs, the neighbors still active.
+//
+//dgp:hotpath
+func (c *StageCtx) BroadcastActive(done NbrTable, payload any) []runtime.Out {
+	ob := c.reserve(len(done.ids))[:0]
+	for k, to := range done.ids {
+		if !done.present(k) {
+			ob = append(ob, runtime.Out{To: to, Payload: payload})
+		}
+	}
+	c.outbox = ob
+	return ob
+}
+
+// reserve returns the outbox with room for n messages, allocating it — once
+// per node and stage context in steady state — at the node's degree or n,
+// whichever is larger.
+func (c *StageCtx) reserve(n int) []runtime.Out {
+	if cap(c.outbox) < n {
+		c.outbox = make([]runtime.Out, 0, max(n, c.env.Info().Degree()))
+	}
+	return c.outbox
+}
+
 // annotateStage stages the span annotation for entering a named stage with
 // the given round budget. All combinators funnel through this so stage
 // spans share one naming convention (obs.SpanStagePrefix + name).
@@ -112,42 +167,44 @@ func annotateStage(env *runtime.Env, name string, budget int) {
 	env.Annotate(obs.SpanStagePrefix+name, int64(budget))
 }
 
-// taggedMsg wraps a stage payload with the lane and stage it belongs to.
-type taggedMsg struct {
-	lane    uint8
-	stage   uint16
-	payload any
+// tagOf packs a lane and stage into a message tag header. The marker bit
+// keeps every combinator tag nonzero, so untagged and corrupted deliveries
+// (runtime.Msg.Tag 0) are never mistaken for lane 0, stage 0.
+func tagOf(lane uint8, stage uint16) uint32 {
+	return 1<<24 | uint32(lane)<<16 | uint32(stage)
 }
 
-// Bits implements runtime.BitSized when the payload does, adding a small
-// fixed header for the tags.
-func (m taggedMsg) Bits() int {
-	const header = 8
-	if bs, ok := m.payload.(runtime.BitSized); ok {
-		return header + bs.Bits()
-	}
-	return -1 // forces LOCAL accounting upstream
-}
-
+// wrapOuts stamps the (lane, stage) tag on every outgoing message in place.
+//
+//dgp:hotpath
 func wrapOuts(outs []runtime.Out, lane uint8, stage uint16) []runtime.Out {
+	tag := tagOf(lane, stage)
 	for i := range outs {
-		outs[i].Payload = taggedMsg{lane: lane, stage: stage, payload: outs[i].Payload}
+		outs[i].Tag = tag
 	}
 	return outs
 }
 
-func unwrapInbox(inbox []runtime.Msg, lane uint8, stage uint16) ([]runtime.Msg, error) {
-	out := make([]runtime.Msg, 0, len(inbox))
+// checkInbox verifies that every delivery carries the (lane, stage) tag, so
+// the caller can hand the engine's inbox view to the stage unchanged.
+//
+//dgp:hotpath
+func checkInbox(inbox []runtime.Msg, lane uint8, stage uint16) error {
+	tag := tagOf(lane, stage)
 	for _, m := range inbox {
-		tm, ok := m.Payload.(taggedMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, m.From)
+		if m.Tag != tag {
+			return tagError(m, lane, stage)
 		}
-		if tm.lane != lane || tm.stage != stage {
-			return nil, fmt.Errorf("%w: core: lockstep violation: message from node %d on lane %d stage %d, expected lane %d stage %d",
-				runtime.ErrProtocol, m.From, tm.lane, tm.stage, lane, stage)
-		}
-		out = append(out, runtime.Msg{From: m.From, Payload: tm.payload})
 	}
-	return out, nil
+	return nil
+}
+
+// tagError reports a delivery whose tag is not the expected (lane, stage):
+// untagged (or corrupted on the wire), or sent from another lane or stage.
+func tagError(m runtime.Msg, lane uint8, stage uint16) error {
+	if m.Tag == 0 {
+		return fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, m.From)
+	}
+	return fmt.Errorf("%w: core: lockstep violation: message from node %d on lane %d stage %d, expected lane %d stage %d",
+		runtime.ErrProtocol, m.From, uint8(m.Tag>>16), uint16(m.Tag), lane, stage)
 }

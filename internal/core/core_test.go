@@ -39,7 +39,7 @@ type ping struct{ Stage string }
 
 func (m *stageMachine) Send(c *core.StageCtx) []runtime.Out {
 	m.tr.events = append(m.tr.events, m.name)
-	return runtime.Broadcast(c.Info(), ping{Stage: m.name})
+	return c.Broadcast(ping{Stage: m.name})
 }
 
 func (m *stageMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {

@@ -138,12 +138,11 @@ func (m *interleavedMachine) Send(env *runtime.Env) []runtime.Out {
 func (m *interleavedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	if m.b != nil {
 		m.bCtx.env = env
-		plain, err := unwrapInbox(inbox, laneInit, 0)
-		if err != nil {
+		if err := checkInbox(inbox, laneInit, 0); err != nil {
 			env.Fail(fmt.Errorf("%w (interleaved init)", err))
 			return
 		}
-		m.b.Receive(&m.bCtx, plain)
+		m.b.Receive(&m.bCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -155,22 +154,21 @@ func (m *interleavedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 		return
 	}
-	plain, err := unwrapInbox(inbox, m.curLane, 0)
-	if err != nil {
+	if err := checkInbox(inbox, m.curLane, 0); err != nil {
 		env.Fail(fmt.Errorf("%w (interleaved lane %d)", err, m.curLane))
 		return
 	}
 	if m.curLane == laneU {
 		if !m.uDone {
 			m.uCtx.env = env
-			m.uMach.Receive(&m.uCtx, plain)
+			m.uMach.Receive(&m.uCtx, inbox)
 			if m.uCtx.yielded {
 				m.uDone = true
 			}
 		}
 	} else {
 		m.rCtx.env = env
-		m.rMach.Receive(&m.rCtx, plain)
+		m.rMach.Receive(&m.rCtx, inbox)
 		if m.rCtx.yielded && !env.Terminated() {
 			env.Fail(fmt.Errorf("%w: core: interleaved reference yielded without output at node %d", runtime.ErrProtocol, env.ID()))
 			return

@@ -86,6 +86,10 @@ type parallelMachine struct {
 	r1Ctx  StageCtx
 	r1Done bool // R1 yielded early; its lane idles
 	left   int  // rounds remaining in the parallel section
+	// outs, uIn and rIn are the parallel section's reusable buffers: the
+	// merged U+R1 outbox and the inbox split by lane.
+	outs     []runtime.Out
+	uIn, rIn []runtime.Msg
 
 	cMach StageMachine
 	cCtx  StageCtx
@@ -133,7 +137,8 @@ func (m *parallelMachine) Send(env *runtime.Env) []runtime.Out {
 				env.Fail(fmt.Errorf("%w: core: parallel reference part 1 output at node %d", runtime.ErrProtocol, env.ID()))
 				return nil
 			}
-			outs = append(outs, r1Outs...)
+			m.outs = append(append(m.outs[:0], outs...), r1Outs...)
+			outs = m.outs
 		}
 		return outs
 	case m.cMach != nil:
@@ -160,12 +165,11 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	switch {
 	case m.b != nil:
 		m.bCtx.env = env
-		plain, err := unwrapInbox(inbox, planeB, 0)
-		if err != nil {
+		if err := checkInbox(inbox, planeB, 0); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel init)", err))
 			return
 		}
-		m.b.Receive(&m.bCtx, plain)
+		m.b.Receive(&m.bCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -177,7 +181,7 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 			m.left = m.spec.R1Budget(m.info)
 		}
 	case m.left > 0:
-		uIn, rIn, err := splitInbox(inbox)
+		uIn, rIn, err := m.splitInbox(inbox)
 		if err != nil {
 			env.Fail(fmt.Errorf("%w (parallel section)", err))
 			return
@@ -202,6 +206,7 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		m.left--
 		if m.left == 0 {
 			m.uMach, m.r1Mach = nil, nil
+			m.outs, m.uIn, m.rIn = nil, nil, nil
 			if m.spec.C != nil {
 				m.cMach = m.spec.C.New(m.info, m.pred, m.mem)
 				m.cLeft = m.spec.C.Budget
@@ -214,12 +219,11 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 	case m.cMach != nil:
 		m.cCtx.env = env
-		plain, err := unwrapInbox(inbox, planeC, 0)
-		if err != nil {
+		if err := checkInbox(inbox, planeC, 0); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel clean-up)", err))
 			return
 		}
-		m.cMach.Receive(&m.cCtx, plain)
+		m.cMach.Receive(&m.cCtx, inbox)
 		if env.Terminated() {
 			return
 		}
@@ -230,32 +234,32 @@ func (m *parallelMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 		}
 	case m.r2Mach != nil:
 		m.r2Ctx.env = env
-		plain, err := unwrapInbox(inbox, plane2, 0)
-		if err != nil {
+		if err := checkInbox(inbox, plane2, 0); err != nil {
 			env.Fail(fmt.Errorf("%w (parallel part 2)", err))
 			return
 		}
-		m.r2Mach.Receive(&m.r2Ctx, plain)
+		m.r2Mach.Receive(&m.r2Ctx, inbox)
 	}
 }
 
 // splitInbox separates a parallel-section inbox into the measure-uniform and
-// reference-part-1 lanes, preserving order.
-func splitInbox(inbox []runtime.Msg) (uIn, rIn []runtime.Msg, err error) {
+// reference-part-1 lanes, preserving order, in the machine's reusable
+// per-lane buffers.
+func (m *parallelMachine) splitInbox(inbox []runtime.Msg) (uIn, rIn []runtime.Msg, err error) {
+	uTag, rTag := tagOf(planeU, 0), tagOf(planeR, 0)
+	uIn, rIn = m.uIn[:0], m.rIn[:0]
 	for _, msg := range inbox {
-		tm, ok := msg.Payload.(taggedMsg)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: core: untagged message from node %d", runtime.ErrProtocol, msg.From)
-		}
-		plain := runtime.Msg{From: msg.From, Payload: tm.payload}
-		switch tm.lane {
-		case planeU:
-			uIn = append(uIn, plain)
-		case planeR:
-			rIn = append(rIn, plain)
+		switch msg.Tag {
+		case uTag:
+			uIn = append(uIn, msg)
+		case rTag:
+			rIn = append(rIn, msg)
+		case 0:
+			return nil, nil, tagError(msg, planeU, 0)
 		default:
-			return nil, nil, fmt.Errorf("%w: core: lane %d message from node %d during parallel section", runtime.ErrProtocol, tm.lane, msg.From)
+			return nil, nil, fmt.Errorf("%w: core: lane %d message from node %d during parallel section", runtime.ErrProtocol, uint8(msg.Tag>>16), msg.From)
 		}
 	}
+	m.uIn, m.rIn = uIn, rIn
 	return uIn, rIn, nil
 }

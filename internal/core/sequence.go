@@ -46,7 +46,8 @@ func (s *seqMachine) enter(k int) {
 	} else {
 		s.machine = nil
 	}
-	s.ctx = StageCtx{mem: s.mem}
+	// The outbox outlives the stage: it is the node's, not the stage's.
+	s.ctx = StageCtx{mem: s.mem, outbox: s.ctx.outbox}
 	s.pending = false
 }
 
@@ -71,8 +72,7 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 
 func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	s.ctx.env = env
-	plain, err := unwrapInbox(inbox, 0, uint16(s.cur))
-	if err != nil {
+	if err := checkInbox(inbox, 0, uint16(s.cur)); err != nil {
 		env.Fail(fmt.Errorf("%w (stage %q)", err, s.stages[s.cur].Name))
 		return
 	}
@@ -81,7 +81,7 @@ func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	// require stages to have nothing useful left to hear after yielding, and
 	// drop the inbox in that case.
 	if !s.pending {
-		s.machine.Receive(&s.ctx, plain)
+		s.machine.Receive(&s.ctx, inbox)
 		if s.ctx.yielded {
 			s.pending = true
 		}

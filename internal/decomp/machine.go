@@ -179,9 +179,9 @@ func (m *machine) Send(c *core.StageCtx) []runtime.Out {
 		if q == 1 {
 			m.resetPhase(c, phase)
 		}
-		return runtime.BroadcastTo(m.active(c), bfMsg(m.cur))
+		return c.BroadcastTo(m.active(c), bfMsg(m.cur))
 	case "exchange":
-		return runtime.BroadcastTo(m.active(c), bfMsg(m.cur))
+		return c.BroadcastTo(m.active(c), bfMsg(m.cur))
 	case "up":
 		if m.parent == 0 || len(m.pending) == 0 {
 			return nil
@@ -201,14 +201,14 @@ func (m *machine) Send(c *core.StageCtx) []runtime.Out {
 		return nil
 	case "outA":
 		if m.decided && m.decision.Win && m.decision.MIS[c.ID()] == 1 {
-			outs := runtime.BroadcastTo(m.active(c), outMsg{Bit: 1})
+			outs := c.BroadcastTo(m.active(c), outMsg{Bit: 1})
 			c.Output(1)
 			return outs
 		}
 		return nil
 	default: // outB
 		if (m.decided && m.decision.Win) || m.gotOne {
-			outs := runtime.BroadcastTo(m.active(c), outMsg{Bit: 0})
+			outs := c.BroadcastTo(m.active(c), outMsg{Bit: 0})
 			c.Output(0)
 			return outs
 		}

@@ -17,7 +17,7 @@ import (
 type blackhole struct{}
 
 func (blackhole) Crashes(n int) map[int]int { return nil }
-func (blackhole) Intercept(round, from, to int, payload runtime.Payload) runtime.Fate {
+func (blackhole) Intercept(round, from, to int, payload runtime.Payload, bits int) runtime.Fate {
 	return runtime.Fate{Drop: true}
 }
 

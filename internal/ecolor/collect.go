@@ -68,7 +68,7 @@ func (m *collectMachine) Send(c *core.StageCtx) []runtime.Out {
 	}
 	payload := ecRows{Rows: m.fresh}
 	m.fresh = nil
-	return runtime.BroadcastTo(m.mem.Uncolored(info), payload)
+	return c.BroadcastTo(m.mem.Uncolored(info), payload)
 }
 
 func (m *collectMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {

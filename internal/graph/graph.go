@@ -290,11 +290,13 @@ func (g *Graph) IDs() []int {
 	return out
 }
 
-// IndexOfID returns the node index whose identifier is id, or -1.
-func (g *Graph) IndexOfID(id int) int {
-	for i, x := range g.ids {
-		if x == id {
-			return i
+// NeighborByID returns the index of node v's neighbor whose identifier is
+// id, or -1 when v has no such neighbor. It scans only v's adjacency, so
+// resolving every node's partner (which must be a neighbor) costs O(m).
+func (g *Graph) NeighborByID(v, id int) int {
+	for _, u := range g.Neighbors(v) {
+		if g.ids[u] == id {
+			return int(u)
 		}
 	}
 	return -1

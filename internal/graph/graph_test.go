@@ -404,8 +404,11 @@ func TestSmallHelpers(t *testing.T) {
 	if got := g.IDs(); len(got) != 3 || got[1] != 2 {
 		t.Errorf("IDs() = %v", got)
 	}
-	if g.IndexOfID(9) != 2 || g.IndexOfID(100) != -1 {
-		t.Error("IndexOfID wrong")
+	// Node index 1 (id 2) neighbors ids 5 and 9; node index 0 (id 5) only
+	// id 2, so id 9 is no neighbor of it.
+	if g.NeighborByID(1, 9) != 2 || g.NeighborByID(1, 5) != 0 ||
+		g.NeighborByID(0, 9) != -1 || g.NeighborByID(1, 100) != -1 {
+		t.Error("NeighborByID wrong")
 	}
 	// Node index 1 (id 2) has neighbors with ids 5 (index 0) and 9 (index 2):
 	// identifier-sorted order is [0, 2].

@@ -110,6 +110,10 @@ func TestHealReactivatesExactlyCarvedRegion(t *testing.T) {
 	// The trace agrees: one EvCarve with the residual and demotion counts,
 	// and within the recovery phase every carve-decided node commits its
 	// carved value (EvOutput), never a fresh one.
+	byID := make(map[int]int, n)
+	for i, id := range g.IDs() {
+		byID[id] = i
+	}
 	carves := 0
 	recovery := false
 	for _, e := range rec.Events() {
@@ -125,8 +129,8 @@ func TestHealReactivatesExactlyCarvedRegion(t *testing.T) {
 			if !recovery {
 				continue
 			}
-			idx := g.IndexOfID(e.Node)
-			if idx < 0 {
+			idx, ok := byID[e.Node]
+			if !ok {
 				t.Fatalf("output event for unknown id %d", e.Node)
 			}
 			if !inResidual[idx] && e.Value != int64(partial[idx]) {

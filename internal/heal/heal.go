@@ -104,8 +104,8 @@ func CarveMatching(g *graph.Graph, out []int) (partial []int, residual []int) {
 		case out[v] == 0:
 			partial[v] = 0
 		case out[v] > 0:
-			u := g.IndexOfID(out[v])
-			if u >= 0 && g.HasEdge(v, u) && u < len(out) && out[u] == g.ID(v) {
+			u := g.NeighborByID(v, out[v])
+			if u >= 0 && u < len(out) && out[u] == g.ID(v) {
 				partial[v] = out[v]
 			}
 		}

@@ -59,7 +59,7 @@ func (m *colorToMatchingMachine) classEdge(info runtime.NodeInfo, class int) int
 		if col != class {
 			continue
 		}
-		if _, gone := m.mem.NbrOut[nb]; !gone {
+		if !m.mem.NbrOut.Has(nb) {
 			return nb
 		}
 	}
@@ -86,7 +86,7 @@ func (m *colorToMatchingMachine) Send(c *core.StageCtx) []runtime.Out {
 		return nil
 	default:
 		if m.partner != 0 {
-			outs := runtime.BroadcastTo(m.mem.ActiveNeighbors(info), matched{Partner: m.partner})
+			outs := c.BroadcastActive(m.mem.NbrOut, matched{Partner: m.partner})
 			c.Output(m.partner)
 			return outs
 		}
@@ -104,7 +104,7 @@ func (m *colorToMatchingMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) 
 				m.partner = msg.From
 			}
 		case matched:
-			m.mem.NbrOut[msg.From] = p.Partner
+			m.mem.NbrOut.Set(msg.From, p.Partner)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
 		}
 	case 3:
 		if m.partner != 0 {
-			outs := runtime.BroadcastTo(m.mem.ActiveNeighbors(info), matched{Partner: m.partner})
+			outs := c.BroadcastActive(m.mem.NbrOut, matched{Partner: m.partner})
 			c.Output(m.partner)
 			return outs
 		}

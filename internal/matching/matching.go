@@ -20,11 +20,11 @@ const Unmatched = 0
 type Memory struct {
 	// Pred is the predicted partner identifier, or Unmatched.
 	Pred int
-	// NbrPred maps neighbor ID to its announced prediction.
-	NbrPred map[int]int
-	// NbrOut maps neighbor ID to its output (partner or Unmatched);
-	// presence means the neighbor has terminated.
-	NbrOut map[int]int
+	// NbrPred holds each neighbor's announced prediction.
+	NbrPred core.NbrTable
+	// NbrOut holds each neighbor's output (partner or Unmatched); presence
+	// means the neighbor has terminated.
+	NbrOut core.NbrTable
 	// R1Colors holds the edge colors (1-based classes, keyed by neighbor
 	// ID) stored by the fault-tolerant edge coloring when it serves as part
 	// 1 of the Parallel Template reference.
@@ -37,11 +37,9 @@ func NewMemory(info runtime.NodeInfo, pred any) any {
 	if v, ok := pred.(int); ok {
 		p = v
 	}
-	return &Memory{
-		Pred:    p,
-		NbrPred: make(map[int]int, len(info.NeighborIDs)),
-		NbrOut:  make(map[int]int, len(info.NeighborIDs)),
-	}
+	m := &Memory{Pred: p}
+	core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrOut)
+	return m
 }
 
 // LiveEdges implements linegraph.Host: the edges to still-active neighbors
@@ -55,21 +53,15 @@ func (m *Memory) StoreEdgeColors(colors map[int]int) { m.R1Colors = colors }
 
 // ActiveNeighbors returns neighbors not known to have terminated.
 func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
-	out := make([]int, 0, len(info.NeighborIDs))
-	for _, nb := range info.NeighborIDs {
-		if _, gone := m.NbrOut[nb]; !gone {
-			out = append(out, nb)
-		}
-	}
-	return out
+	return m.NbrOut.Missing()
 }
 
 // allNeighborsMatched reports whether every neighbor has terminated with a
 // partner (so outputting ⊥ is safe and the partial solution stays
 // extendable).
 func (m *Memory) allNeighborsMatched(info runtime.NodeInfo) bool {
-	for _, nb := range info.NeighborIDs {
-		out, gone := m.NbrOut[nb]
+	for k := range info.NeighborIDs {
+		out, gone := m.NbrOut.At(k)
 		if !gone || out == Unmatched {
 			return false
 		}
@@ -92,7 +84,7 @@ func (matched) Bits() int { return 32 }
 func (m *Memory) recordMatched(inbox []runtime.Msg) {
 	for _, msg := range inbox {
 		if mm, ok := msg.Payload.(matched); ok {
-			m.NbrOut[msg.From] = mm.Partner
+			m.NbrOut.Set(msg.From, mm.Partner)
 		}
 	}
 }
@@ -126,11 +118,13 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predAnnounce{Partner: m.mem.Pred})
+		return c.Broadcast(predAnnounce{Partner: m.mem.Pred})
 	case 2:
 		p := m.mem.Pred
-		if p != Unmatched && p != c.ID() && m.isNeighbor(c.Info(), p) && m.mem.NbrPred[p] == c.ID() {
-			outs := runtime.Broadcast(c.Info(), matched{Partner: p})
+		// A mutual prediction: p is a neighbor that announced this node.
+		// Get reads 0 for ⊥, for this node and for any non-neighbor.
+		if back, _ := m.mem.NbrPred.Get(p); back == c.ID() {
+			outs := c.Broadcast(matched{Partner: p})
 			c.Output(p)
 			return outs
 		}
@@ -143,7 +137,7 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	case 1:
 		for _, msg := range inbox {
 			if pa, ok := msg.Payload.(predAnnounce); ok {
-				m.mem.NbrPred[msg.From] = pa.Partner
+				m.mem.NbrPred.Set(msg.From, pa.Partner)
 			}
 		}
 	case 2:
@@ -156,15 +150,6 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 		}
 		c.Yield()
 	}
-}
-
-func (m *initMachine) isNeighbor(info runtime.NodeInfo, id int) bool {
-	for _, nb := range info.NeighborIDs {
-		if nb == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Cleanup returns the matching clean-up (Section 7.2 adapted per Section

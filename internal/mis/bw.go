@@ -52,11 +52,11 @@ func (m *bwMachine) Send(c *core.StageCtx) []runtime.Out {
 		}
 		active := m.mem.ActiveNeighbors(c.Info())
 		for _, nb := range active {
-			if m.mem.NbrPred[nb] == color && nb > c.ID() {
+			if p, _ := m.mem.NbrPred.Get(nb); p == color && nb > c.ID() {
 				return nil
 			}
 		}
-		return runtime.BroadcastTo(active, notifyThenOutput(c, 1))
+		return c.BroadcastTo(active, notifyThenOutput(c, 1))
 	}
 	if m.gotOne {
 		return notifyAndOutput(c, m.mem, 0)
@@ -67,7 +67,7 @@ func (m *bwMachine) Send(c *core.StageCtx) []runtime.Out {
 func (m *bwMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	for _, msg := range inbox {
 		if nt, ok := msg.Payload.(notify); ok {
-			m.mem.NbrOut[msg.From] = nt.Bit
+			m.mem.NbrOut.Set(msg.From, nt.Bit)
 			if nt.Bit == 1 {
 				m.gotOne = true
 			}

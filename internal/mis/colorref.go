@@ -36,14 +36,14 @@ type colorToMISMachine struct {
 func (m *colorToMISMachine) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
 		color, _ := m.mem.LoadColor()
-		return runtime.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), myColor{C: color})
+		return c.BroadcastActive(m.mem.NbrOut, myColor{C: color})
 	}
 	if m.pending0 {
 		return notifyAndOutput(c, m.mem, 0)
 	}
 	i := c.StageRound() - 1 // the color class considered this round
 	if m.joins(c.Info(), i) {
-		return runtime.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), notifyThenOutput(c, 1))
+		return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
 	}
 	return nil
 }
@@ -73,7 +73,7 @@ func (m *colorToMISMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 		case myColor:
 			m.nbrColor[msg.From] = p.C
 		case notify:
-			m.mem.NbrOut[msg.From] = p.Bit
+			m.mem.NbrOut.Set(msg.From, p.Bit)
 			if p.Bit == 1 {
 				m.pending0 = true
 			}

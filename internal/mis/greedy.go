@@ -38,13 +38,15 @@ type greedyMachine struct {
 
 func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound()%2 == 1 {
-		active := m.mem.ActiveNeighbors(c.Info())
-		for _, nb := range active {
-			if nb > c.ID() {
+		// NeighborIDs ascend: scan the larger identifiers from the top for
+		// one still active.
+		ids := c.Info().NeighborIDs
+		for k := len(ids) - 1; k >= 0 && ids[k] > c.ID(); k-- {
+			if _, gone := m.mem.NbrOut.At(k); !gone {
 				return nil
 			}
 		}
-		return runtime.BroadcastTo(active, notifyThenOutput(c, 1))
+		return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
 	}
 	if m.gotOne {
 		return notifyAndOutput(c, m.mem, 0)
@@ -55,7 +57,7 @@ func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
 func (m *greedyMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	for _, msg := range inbox {
 		if nt, ok := msg.Payload.(notify); ok {
-			m.mem.NbrOut[msg.From] = nt.Bit
+			m.mem.NbrOut.Set(msg.From, nt.Bit)
 			if nt.Bit == 1 {
 				m.gotOne = true
 			}

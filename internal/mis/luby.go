@@ -47,10 +47,10 @@ func (m *lubyMachine) Send(c *core.StageCtx) []runtime.Out {
 	case 1: // draw and exchange priorities
 		m.myPrio = m.rng.Uint64()
 		m.isMax = true
-		return runtime.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), prio{V: m.myPrio})
+		return c.BroadcastActive(m.mem.NbrOut, prio{V: m.myPrio})
 	case 2: // local maxima join
 		if m.isMax {
-			return runtime.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), notifyThenOutput(c, 1))
+			return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
 		}
 	case 0: // notified nodes leave
 		if m.gotOne {
@@ -75,7 +75,7 @@ func (m *lubyMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	default:
 		for _, msg := range inbox {
 			if nt, ok := msg.Payload.(notify); ok {
-				m.mem.NbrOut[msg.From] = nt.Bit
+				m.mem.NbrOut.Set(msg.From, nt.Bit)
 				if nt.Bit == 1 {
 					m.gotOne = true
 				}

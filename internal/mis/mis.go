@@ -21,11 +21,11 @@ import (
 type Memory struct {
 	// Pred is the node's own prediction bit.
 	Pred int
-	// NbrPred maps neighbor ID to its announced prediction.
-	NbrPred map[int]int
-	// NbrOut maps neighbor ID to its output bit; presence means the neighbor
+	// NbrPred holds each neighbor's announced prediction.
+	NbrPred core.NbrTable
+	// NbrOut holds each neighbor's output bit; presence means the neighbor
 	// has terminated.
-	NbrOut map[int]int
+	NbrOut core.NbrTable
 	// Color and Palette are part 1's locally stored coloring result.
 	Color, Palette int
 }
@@ -36,11 +36,9 @@ func NewMemory(info runtime.NodeInfo, pred any) any {
 	if p, ok := pred.(int); ok {
 		bit = p
 	}
-	return &Memory{
-		Pred:    bit,
-		NbrPred: make(map[int]int, len(info.NeighborIDs)),
-		NbrOut:  make(map[int]int, len(info.NeighborIDs)),
-	}
+	m := &Memory{Pred: bit}
+	core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrOut)
+	return m
 }
 
 // StoreColor implements the color store used by reference part 1.
@@ -57,28 +55,17 @@ func (m *Memory) LoadColor() (color, palette int) {
 // output bit; it satisfies the memory interface of the decomposition
 // reference.
 func (m *Memory) RecordNeighborOutput(id, bit int) {
-	m.NbrOut[id] = bit
+	m.NbrOut.Set(id, bit)
 }
 
 // ActiveNeighbors returns the IDs of neighbors not known to have terminated.
 func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
-	out := make([]int, 0, len(info.NeighborIDs))
-	for _, nb := range info.NeighborIDs {
-		if _, gone := m.NbrOut[nb]; !gone {
-			out = append(out, nb)
-		}
-	}
-	return out
+	return m.NbrOut.Missing()
 }
 
 // hasOutNeighbor reports whether some terminated neighbor output bit.
 func (m *Memory) hasOutNeighbor(bit int) bool {
-	for _, b := range m.NbrOut {
-		if b == bit {
-			return true
-		}
-	}
-	return false
+	return m.NbrOut.Contains(bit)
 }
 
 // notify is the message a node sends just before terminating: its output
@@ -99,7 +86,7 @@ func (predMsg) Bits() int { return 2 }
 func recordNotifies(mem *Memory, inbox []runtime.Msg) {
 	for _, m := range inbox {
 		if nt, ok := m.Payload.(notify); ok {
-			mem.NbrOut[m.From] = nt.Bit
+			mem.NbrOut.Set(m.From, nt.Bit)
 		}
 	}
 }
@@ -107,7 +94,7 @@ func recordNotifies(mem *Memory, inbox []runtime.Msg) {
 // notifyAndOutput broadcasts the node's output bit to its active neighbors
 // and terminates with that output.
 func notifyAndOutput(c *core.StageCtx, mem *Memory, bit int) []runtime.Out {
-	outs := runtime.BroadcastTo(mem.ActiveNeighbors(c.Info()), notify{Bit: bit})
+	outs := c.BroadcastActive(mem.NbrOut, notify{Bit: bit})
 	c.Output(bit)
 	return outs
 }

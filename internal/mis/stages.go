@@ -40,7 +40,7 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predMsg{Bit: m.mem.Pred})
+		return c.Broadcast(predMsg{Bit: m.mem.Pred})
 	case 2:
 		if m.inI(c.Info()) {
 			return notifyAndOutput(c, m.mem, 1)
@@ -58,13 +58,13 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	case 1:
 		for _, msg := range inbox {
 			if pm, ok := msg.Payload.(predMsg); ok {
-				m.mem.NbrPred[msg.From] = pm.Bit
+				m.mem.NbrPred.Set(msg.From, pm.Bit)
 			}
 		}
 	case 2:
 		for _, msg := range inbox {
 			if nt, ok := msg.Payload.(notify); ok {
-				m.mem.NbrOut[msg.From] = nt.Bit
+				m.mem.NbrOut.Set(msg.From, nt.Bit)
 				if nt.Bit == 1 {
 					m.sawOne = true
 				}
@@ -81,8 +81,8 @@ func (m *initMachine) inI(info runtime.NodeInfo) bool {
 	if m.mem.Pred != 1 {
 		return false
 	}
-	for _, nb := range info.NeighborIDs {
-		if m.mem.NbrPred[nb] != 1 {
+	for k, nb := range info.NeighborIDs {
+		if p, _ := m.mem.NbrPred.At(k); p != 1 {
 			continue
 		}
 		if !m.tieBreak {

@@ -111,18 +111,18 @@ func (m *uniformMachine) Send(c *core.StageCtx) []runtime.Out {
 		if m.participant {
 			m.steps, m.kStar = vcolor.Schedule(d, dHat)
 			m.color = info.ID - 1
-			return runtime.BroadcastTo(active, participate{})
+			return c.BroadcastTo(active, participate{})
 		}
 		return nil
 	case r <= 1+colorRounds:
 		if m.participant {
-			return runtime.BroadcastTo(m.activePartNbrs(), uColor{C: m.color})
+			return c.BroadcastTo(m.activePartNbrs(), uColor{C: m.color})
 		}
 		return nil
 	case r <= 1+colorRounds+dHat+1:
 		j := r - 1 - colorRounds // conversion class 1..dHat+1
 		if m.participant && m.color+1 == j {
-			return runtime.BroadcastTo(m.mem.ActiveNeighbors(info), notifyThenOutput(c, 1))
+			return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
 		}
 		return nil
 	default:
@@ -135,7 +135,7 @@ func (m *uniformMachine) Send(c *core.StageCtx) []runtime.Out {
 func (m *uniformMachine) activePartNbrs() []int {
 	out := make([]int, 0, len(m.partNbrs))
 	for _, nb := range m.partNbrs {
-		if _, gone := m.mem.NbrOut[nb]; !gone {
+		if !m.mem.NbrOut.Has(nb) {
 			out = append(out, nb)
 		}
 	}
@@ -159,7 +159,7 @@ func (m *uniformMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 		case uColor:
 			heard = append(heard, p.C)
 		case notify:
-			m.mem.NbrOut[msg.From] = p.Bit
+			m.mem.NbrOut.Set(msg.From, p.Bit)
 			if p.Bit == 1 {
 				m.pendingKill = true
 			}

@@ -63,8 +63,8 @@ func MatchingBaseActive(g *graph.Graph, pred []int) []bool {
 		if p == Unmatched {
 			continue
 		}
-		u := g.IndexOfID(p)
-		if u < 0 || !g.HasEdge(v, u) {
+		u := g.NeighborByID(v, p)
+		if u < 0 {
 			continue
 		}
 		if pred[u] == g.ID(v) {

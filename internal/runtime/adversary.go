@@ -23,10 +23,12 @@ type Adversary interface {
 	// >= 1); violations abort the run with a config error.
 	Crashes(n int) map[int]int
 	// Intercept returns the fate of one message about to be delivered in
-	// the given round. from and to are node identifiers. It is only called
-	// for messages that would otherwise be delivered (the destination is
+	// the given round. from and to are node identifiers; bits is the
+	// message's size, MessageBits(tag, payload), so a tagged message counts
+	// its header (-1 when the payload is unsized). It is only called for
+	// messages that would otherwise be delivered (the destination is
 	// active), never for messages the model already discards.
-	Intercept(round, from, to int, payload Payload) Fate
+	Intercept(round, from, to int, payload Payload, bits int) Fate
 }
 
 // Fate is an adversary's verdict on one in-flight message.
@@ -39,6 +41,7 @@ type Fate struct {
 	Extra int
 	// Payload, when non-nil, replaces the delivered payload (corruption on
 	// the wire). Every delivered copy — and the engine's per-message bit
-	// accounting — uses the replacement.
+	// accounting — uses the replacement, delivered with Tag 0: the header is
+	// corrupted with the payload.
 	Payload Payload
 }

@@ -173,7 +173,7 @@ func TestCrashIndexValidation(t *testing.T) {
 type stubAdversary struct{ crashes map[int]int }
 
 func (a *stubAdversary) Crashes(n int) map[int]int { return a.crashes }
-func (a *stubAdversary) Intercept(round, from, to int, payload runtime.Payload) runtime.Fate {
+func (a *stubAdversary) Intercept(round, from, to int, payload runtime.Payload, bits int) runtime.Fate {
 	return runtime.Fate{}
 }
 

@@ -640,6 +640,11 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 
 	delta := g.MaxDegree()
 	tracing := cfg.Trace != nil
+	// Every node's dst starts as an empty window of one CSR-sized slab with
+	// room for one message per neighbor; the full slice expression caps the
+	// window, so a node sending more than that grows into a private array
+	// instead of overwriting its successor's window.
+	dst := make([]int32, len(adj))
 	for i := 0; i < n; i++ {
 		info := NodeInfo{
 			Index:       i,
@@ -656,6 +661,7 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 		e := &st.envs[i]
 		e.info = info
 		e.tracing = tracing
+		e.dst = dst[off[i]:off[i]:off[i+1]]
 		st.mach[i] = cfg.Factory(info, pred)
 		st.actByIdx[i] = int32(i)
 		st.frontier.set(i)
@@ -808,13 +814,13 @@ func (st *state) sendPhase(i int) {
 		// CSR neighbor range is the destination list. One bandwidth check
 		// covers every copy.
 		if limit := st.cfg.MaxMessageBits; limit > 0 {
-			bs, sized := e.bcast.(BitSized)
-			if !sized || bs.Bits() < 0 {
+			b := MessageBits(0, e.bcast)
+			if b < 0 {
 				st.errs[i] = fmt.Errorf("%w: node %d sent an unsized payload %T",
 					ErrCongestViolation, e.info.ID, e.bcast)
 				return
 			}
-			if b := bs.Bits(); b > limit {
+			if b > limit {
 				st.errs[i] = fmt.Errorf("%w: node %d sent %d bits (limit %d)",
 					ErrCongestViolation, e.info.ID, b, limit)
 				return
@@ -837,13 +843,13 @@ func (st *state) sendPhase(i int) {
 		}
 		dst = append(dst, nbIdx[pos])
 		if limit := st.cfg.MaxMessageBits; limit > 0 {
-			bs, sized := out.Payload.(BitSized)
-			if !sized || bs.Bits() < 0 {
+			b := MessageBits(out.Tag, out.Payload)
+			if b < 0 {
 				st.errs[i] = fmt.Errorf("%w: node %d sent an unsized payload %T",
 					ErrCongestViolation, e.ID(), out.Payload)
 				return
 			}
-			if b := bs.Bits(); b > limit {
+			if b > limit {
 				st.errs[i] = fmt.Errorf("%w: node %d sent %d bits (limit %d)",
 					ErrCongestViolation, e.ID(), b, limit)
 				return
@@ -872,21 +878,16 @@ func (ls *laneState) receivePhase(i int) {
 	}
 }
 
-// account books count delivered copies of payload: the round and result
-// message ledgers, and the MaxMsgBits / LOCAL-only accumulators. One call
-// covers a whole uniform batch.
+// account books count delivered copies of a message of b bits (see
+// MessageBits): the round and result message ledgers, and the MaxMsgBits /
+// LOCAL-only accumulators. One call covers a whole uniform batch.
 //
 //dgp:hotpath
-func (st *state) account(payload Payload, count int, res *Result) {
+func (st *state) account(b, count int, res *Result) {
 	st.roundMsgs += count
 	res.Messages += count
-	b := -1
-	if bs, ok := payload.(BitSized); ok {
-		b = bs.Bits()
-	}
 	if b < 0 {
-		// An unsized (or wrapper-of-unsized) payload makes the run
-		// LOCAL-only.
+		// An unsized (or tagged-unsized) payload makes the run LOCAL-only.
 		st.localOnly = true
 		return
 	}
@@ -897,22 +898,23 @@ func (st *state) account(payload Payload, count int, res *Result) {
 }
 
 // interceptFate is the adversary verdict core of the counting pass: one
-// Intercept call, the drop/corrupt/inject ledgers, and the fault events.
-// It returns the delivered copy count (0 = dropped), the payload to
-// deliver, and swap, the replacement payload (nil when untouched), which
-// countOne keeps for the placement pass.
+// Intercept call for a message of b bits, the drop/corrupt/inject ledgers,
+// and the fault events. It returns the delivered copy count (0 = dropped),
+// the delivered size, and swap, the replacement payload (nil when
+// untouched), which recordFate keeps for the placement pass. A replacement
+// is delivered untagged, so it is sized as an untagged payload.
 //
 //dgp:hotpath
-func (st *state) interceptFate(round, from, j int, payload Payload, res *Result) (int, Payload, Payload) {
+func (st *state) interceptFate(round, from, j int, payload Payload, b int, res *Result) (int, int, Payload) {
 	tr := st.trace
 	to := st.envs[j].info.ID
-	fate := st.cfg.Adversary.Intercept(round, from, to, payload)
+	fate := st.cfg.Adversary.Intercept(round, from, to, payload, b)
 	if fate.Drop {
 		// Dropped traffic goes on its own ledger, never into Messages/Bits:
 		// the bandwidth numbers stay delivery-only.
 		db := 0
-		if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-			db = bs.Bits()
+		if b > 0 {
+			db = b
 		}
 		st.roundDropped++
 		st.roundDroppedBits += db
@@ -921,11 +923,11 @@ func (st *state) interceptFate(round, from, j int, payload Payload, res *Result)
 		if tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "drop", Value: int64(db), Aux: int64(to)})
 		}
-		return 0, nil, nil
+		return 0, b, nil
 	}
 	var swap Payload
 	if fate.Payload != nil {
-		payload = fate.Payload
+		b = MessageBits(0, fate.Payload)
 		swap = fate.Payload
 		st.roundCorrupted++
 		res.Corrupted++
@@ -942,12 +944,10 @@ func (st *state) interceptFate(round, from, j int, payload Payload, res *Result)
 			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "duplicate", Value: int64(fate.Extra), Aux: int64(to)})
 		}
 	}
-	if copies > 1 {
-		if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-			st.roundInjectedBits += (copies - 1) * bs.Bits()
-		}
+	if copies > 1 && b > 0 {
+		st.roundInjectedBits += (copies - 1) * b
 	}
-	return copies, payload, swap
+	return copies, b, swap
 }
 
 //dgp:hotpath

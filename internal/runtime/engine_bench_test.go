@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/runtime"
 )
@@ -59,11 +60,57 @@ func (m *ringBench) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	m.heard += len(inbox)
 }
 
+// templBench is the ring workload as an MIS-style stage under
+// core.Simple: each stage round it broadcasts the pre-boxed payload through
+// the node's reusable outbox (StageCtx.Broadcast) and counts its inbox;
+// after rounds stage rounds the budget hands the node to a one-round
+// stage that outputs. Allocation figures thus measure the template layer
+// (tag stamping, inbox checks, outbox reuse) on top of the engine.
+type templBench struct {
+	payload any
+	heard   *int
+}
+
+func (m *templBench) Send(c *core.StageCtx) []runtime.Out { return c.Broadcast(m.payload) }
+
+func (m *templBench) Receive(c *core.StageCtx, inbox []runtime.Msg) { *m.heard += len(inbox) }
+
+type templOutput struct{ heard *int }
+
+func (m *templOutput) Send(c *core.StageCtx) []runtime.Out {
+	// Below 256, like ringBench's output, so boxing it never allocates.
+	c.Output(*m.heard & 0xff)
+	return nil
+}
+
+func (m *templOutput) Receive(c *core.StageCtx, inbox []runtime.Msg) {}
+
+func templBenchFactory(rounds int) runtime.Factory {
+	payload := any(ringPayload{})
+	mem := func(runtime.NodeInfo, any) any { return new(int) }
+	announce := core.Stage{Name: "bench/announce", Budget: rounds,
+		New: func(_ runtime.NodeInfo, _ any, mem any) core.StageMachine {
+			return &templBench{payload: payload, heard: mem.(*int)}
+		}}
+	decide := core.Stage{Name: "bench/decide",
+		New: func(_ runtime.NodeInfo, _ any, mem any) core.StageMachine {
+			return &templOutput{heard: mem.(*int)}
+		}}
+	return core.Simple(mem, announce, decide)
+}
+
 func runRing(tb testing.TB, g *graph.Graph, rounds int, parallel, batched bool, shards int) *runtime.Result {
+	tb.Helper()
+	return runBench(tb, g, ringBenchFactory(rounds, batched), rounds, parallel, shards)
+}
+
+// runBench runs a bench factory whose nodes all output after rounds
+// message-bearing rounds.
+func runBench(tb testing.TB, g *graph.Graph, f runtime.Factory, rounds int, parallel bool, shards int) *runtime.Result {
 	tb.Helper()
 	res, err := runtime.Run(runtime.Config{
 		Graph:     g,
-		Factory:   ringBenchFactory(rounds, batched),
+		Factory:   f,
 		Parallel:  parallel,
 		Shards:    shards,
 		MaxRounds: rounds + 8,
@@ -114,38 +161,48 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}
 	const n = 4096
 	g := graph.Ring(n)
-	measure := func(rounds int, parallel, batched bool, shards int) float64 {
+	measure := func(rounds int, parallel, batched, templated bool, shards int) float64 {
+		f := ringBenchFactory(rounds, batched)
+		if templated {
+			f = templBenchFactory(rounds)
+		}
 		return testing.AllocsPerRun(3, func() {
-			runRing(t, g, rounds, parallel, batched, shards)
+			runBench(t, g, f, rounds, parallel, shards)
 		})
 	}
 	for _, mode := range []struct {
-		name     string
-		parallel bool
-		batched  bool
-		shards   int
-		budget   float64
+		name      string
+		parallel  bool
+		batched   bool
+		shards    int
+		budget    float64
+		templated bool
 	}{
 		// The columnar layout reuses the CSR arrays, inbox slab, and fate
 		// buffers across rounds: steady state measures 0 allocs/round on
 		// every mode. The budgets are GC-noise headroom, not permission to
 		// regress toward per-message allocation.
-		{"seq", false, false, 0, 8},
-		{"par", true, false, 0, 16},
+		{"seq", false, false, 0, 8, false},
+		{"par", true, false, 0, 16, false},
 		// The Env.Broadcast fast path never materializes an outbox at all:
 		// the engine walks the CSR neighbor range directly.
-		{"seq-bcast", false, true, 0, 8},
-		{"par-bcast", true, true, 0, 16},
+		{"seq-bcast", false, true, 0, 8, false},
+		{"par-bcast", true, true, 0, 16, false},
 		// Sharded modes: one shard is the same single lane as seq and must
 		// hold the same ~0 figure; multi-shard rounds reuse the lane slabs,
 		// boundary-batch frames, and cursor streams, so steady state stays
 		// ~0 there too (the wider budget is barrier/GC noise).
-		{"shard1", false, false, 1, 8},
-		{"shard4", false, false, 4, 24},
-		{"shard4-par", true, false, 4, 32},
+		{"shard1", false, false, 1, 8, false},
+		{"shard4", false, false, 4, 24, false},
+		{"shard4-par", true, false, 4, 32, false},
+		// The template layer on top: core.Simple stamps the stage tag into
+		// the Out header, checks it on the engine's inbox view in place,
+		// and the stage broadcasts through its reusable outbox, so a
+		// templated round allocates nothing per message either.
+		{"seq-templated", false, false, 0, 8, true},
 	} {
-		short := measure(10, mode.parallel, mode.batched, mode.shards)
-		long := measure(210, mode.parallel, mode.batched, mode.shards)
+		short := measure(10, mode.parallel, mode.batched, mode.templated, mode.shards)
+		long := measure(210, mode.parallel, mode.batched, mode.templated, mode.shards)
 		perRound := (long - short) / 200
 		t.Logf("%s: %.1f allocs over 10 rounds, %.1f over 210 -> %.3f allocs/round",
 			mode.name, short, long, perRound)

@@ -86,8 +86,10 @@ type Stats struct {
 }
 
 // Garbage is the corrupted-payload stand-in: an unrecognizable payload that
-// preserves the original's bit size, so CONGEST accounting is unchanged
-// while every algorithm-level type switch fails to recognize it.
+// preserves the original message's bit size (a tagged message's header
+// included), so CONGEST accounting is unchanged while every algorithm-level
+// type switch fails to recognize it. The engine delivers it untagged, so
+// the template combinators reject it as an untagged message.
 type Garbage struct {
 	// Size is the original payload's size in bits.
 	Size int
@@ -193,7 +195,9 @@ func (c *Chaos) loseShard(out map[int]int, part *shard.Partition, s, round int) 
 // Intercept implements runtime.Adversary. Decisions draw from the policy's
 // single PRNG in call order; each probability consumes a draw only when it
 // is enabled, so a policy's draw sequence is a function of the policy alone.
-func (c *Chaos) Intercept(round, from, to int, payload runtime.Payload) runtime.Fate {
+// A corruption replaces a sized message (bits >= 0) with Garbage of the
+// same size, tag header included.
+func (c *Chaos) Intercept(round, from, to int, payload runtime.Payload, bits int) runtime.Fate {
 	if c.p.LinkFail > 0 {
 		key := [2]int{from, to}
 		if key[0] > key[1] {
@@ -223,8 +227,8 @@ func (c *Chaos) Intercept(round, from, to int, payload runtime.Payload) runtime.
 	}
 	var fate runtime.Fate
 	if c.p.Corrupt > 0 && c.rng.Float64() < c.p.Corrupt {
-		if bs, ok := payload.(runtime.BitSized); ok && bs.Bits() >= 0 {
-			fate.Payload = Garbage{Size: bs.Bits(), Salt: c.rng.Int63()}
+		if bits >= 0 {
+			fate.Payload = Garbage{Size: bits, Salt: c.rng.Int63()}
 			c.stats.Corrupted++
 		}
 	}

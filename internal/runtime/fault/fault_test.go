@@ -30,8 +30,8 @@ func TestChaosDeterminism(t *testing.T) {
 		round := 1 + rng.Intn(10)
 		from, to := 1+rng.Intn(20), 1+rng.Intn(20)
 		payload := sized(8 + rng.Intn(8))
-		fa := a.Intercept(round, from, to, payload)
-		fb := b.Intercept(round, from, to, payload)
+		fa := a.Intercept(round, from, to, payload, payload.Bits())
+		fb := b.Intercept(round, from, to, payload, payload.Bits())
 		if !reflect.DeepEqual(fa, fb) {
 			t.Fatalf("call %d: fates differ: %+v vs %+v", i, fa, fb)
 		}
@@ -71,7 +71,7 @@ func TestLinkFailurePermanent(t *testing.T) {
 	// Probe the link until past its failure round.
 	failed := -1
 	for round := 1; round <= 4; round++ {
-		fate := c.Intercept(round, 5, 9, sized(4))
+		fate := c.Intercept(round, 5, 9, sized(4), 4)
 		if fate.Drop && failed == -1 {
 			failed = round
 		}
@@ -83,7 +83,7 @@ func TestLinkFailurePermanent(t *testing.T) {
 		t.Fatalf("link should have failed by round 3, failed at %d", failed)
 	}
 	// Reverse direction shares the link's fate.
-	if !(c.Intercept(4, 9, 5, sized(4)).Drop) {
+	if !(c.Intercept(4, 9, 5, sized(4), 4).Drop) {
 		t.Fatal("reverse direction not affected by link failure")
 	}
 	if c.Stats().FailedLinks != 1 {
@@ -93,7 +93,7 @@ func TestLinkFailurePermanent(t *testing.T) {
 
 func TestGarbagePreservesBits(t *testing.T) {
 	c := New(Policy{Seed: 2, Corrupt: 1.0})
-	fate := c.Intercept(1, 1, 2, sized(13))
+	fate := c.Intercept(1, 1, 2, sized(13), 13)
 	g, ok := fate.Payload.(Garbage)
 	if !ok {
 		t.Fatalf("expected Garbage payload, got %T", fate.Payload)
@@ -102,7 +102,7 @@ func TestGarbagePreservesBits(t *testing.T) {
 		t.Fatalf("Garbage.Bits() = %d, want 13 (size-preserving)", g.Bits())
 	}
 	// Unsized payloads pass through uncorrupted.
-	if fate := c.Intercept(1, 1, 2, "local-only"); fate.Payload != nil {
+	if fate := c.Intercept(1, 1, 2, "local-only", -1); fate.Payload != nil {
 		t.Fatalf("unsized payload corrupted: %+v", fate)
 	}
 }

@@ -19,6 +19,16 @@
 //
 // Message sizes are accounted when payloads implement BitSized, allowing
 // CONGEST-model bandwidth checks for the algorithms that fit in O(log n) bits.
+//
+// Every message carries a Tag header next to its payload (Out.Tag, copied
+// through placement into Msg.Tag). The engine never interprets a tag; the
+// template combinators (internal/core) use it to multiplex their stages and
+// lanes onto one network without boxing payloads. A nonzero tag costs
+// TagBits in the message's size (see MessageBits), which is the size every
+// ledger, the MaxMessageBits check and Adversary.Intercept's bits argument
+// see. An adversary that corrupts a message (Fate.Payload; fault.Garbage
+// keeps the reported size) delivers the replacement with Tag 0, so a
+// corrupted tagged message reads as untagged.
 package runtime
 
 import (
@@ -36,17 +46,44 @@ type BitSized interface {
 	Bits() int
 }
 
-// Msg is a message delivered to a node. From is the sender's identifier.
+// Msg is a message delivered to a node. From is the sender's identifier and
+// Tag the sender's Out.Tag (0 for untagged and for corrupted deliveries).
 type Msg struct {
 	From    int
+	Tag     uint32
 	Payload Payload
 }
 
 // Out is a message a node asks the engine to send. To is a neighbor's
-// identifier; sending to a non-neighbor is a protocol error.
+// identifier; sending to a non-neighbor is a protocol error. Tag is an
+// optional header (0 means untagged) that the engine copies through to the
+// delivered Msg; a nonzero tag adds TagBits to the message's size.
 type Out struct {
 	To      int
+	Tag     uint32
 	Payload Payload
+}
+
+// TagBits is the size in bits a nonzero Tag adds to a message.
+const TagBits = 8
+
+// MessageBits returns the size in bits of a message with the given tag and
+// payload, as every engine ledger and the MaxMessageBits check see it: the
+// payload's BitSized size, plus TagBits when the message is tagged. It is -1
+// when the payload does not implement BitSized, which makes the run
+// LOCAL-only; a tagged payload reporting -1 itself is sized TagBits-1.
+//
+//dgp:hotpath
+func MessageBits(tag uint32, payload Payload) int {
+	bs, ok := payload.(BitSized)
+	if !ok {
+		return -1
+	}
+	b := bs.Bits()
+	if tag != 0 {
+		b += TagBits
+	}
+	return b
 }
 
 // NodeInfo is the static information a node knows at the start of the
@@ -120,7 +157,9 @@ type Env struct {
 	notes   []Note
 	// outs/dst stage the node's validated outbox for the routing passes:
 	// outs is the slice returned by Send, dst the destination node indices
-	// resolved during validation (reused across rounds). bcast/bcastSet
+	// resolved during validation (cut from one CSR-sized slab in newState,
+	// so it grows only for a node sending more messages than it has
+	// neighbors). bcast/bcastSet
 	// stage an Env.Broadcast payload instead; inReceive guards Broadcast
 	// against receive-phase calls.
 	outs      []Out
@@ -225,19 +264,12 @@ func (e *Env) fail(err error) {
 	}
 }
 
-// Broadcast builds one Out per neighbor carrying payload.
+// Broadcast builds one Out per neighbor carrying payload, in a new slice.
+// Template stages use core.StageCtx.Broadcast instead, which rebuilds a
+// per-node outbox in place.
 func Broadcast(info NodeInfo, payload Payload) []Out {
 	outs := make([]Out, len(info.NeighborIDs))
 	for i, nb := range info.NeighborIDs {
-		outs[i] = Out{To: nb, Payload: payload}
-	}
-	return outs
-}
-
-// BroadcastTo builds one Out per listed destination carrying payload.
-func BroadcastTo(dests []int, payload Payload) []Out {
-	outs := make([]Out, len(dests))
-	for i, nb := range dests {
 		outs[i] = Out{To: nb, Payload: payload}
 	}
 	return outs

@@ -290,6 +290,9 @@ func (st *state) routeLanes(round int, res *Result) {
 		}
 		msgs0, bits0 := st.roundMsgs, st.roundBits
 		if e.bcastSet {
+			// Uniform batch: one payload-size lookup covers the whole
+			// neighbor range.
+			b := MessageBits(0, e.bcast)
 			delivered := 0
 			for _, dj := range st.csrNbr[st.csrOff[i]:st.csrOff[i+1]] {
 				j := int(dj)
@@ -297,20 +300,18 @@ func (st *state) routeLanes(round int, res *Result) {
 					continue
 				}
 				if adv == nil {
-					// Uniform batch: count survivors, then account the
-					// whole neighbor range with a single payload-size lookup.
-					st.count(sl, j, 1, e.bcast)
+					st.count(sl, j, 1, b)
 					delivered++
 					continue
 				}
-				copies, pl := st.recordFate(sl, round, from, j, e.bcast, res)
+				copies, cb := st.recordFate(sl, round, from, j, e.bcast, b, res)
 				if copies > 0 {
-					st.count(sl, j, copies, pl)
-					st.account(pl, copies, res)
+					st.count(sl, j, copies, cb)
+					st.account(cb, copies, res)
 				}
 			}
 			if delivered > 0 {
-				st.account(e.bcast, delivered, res)
+				st.account(b, delivered, res)
 			}
 		} else {
 			for k, out := range e.outs {
@@ -323,15 +324,15 @@ func (st *state) routeLanes(round int, res *Result) {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
-				copies, pl := 1, out.Payload
+				copies, b := 1, MessageBits(out.Tag, out.Payload)
 				if adv != nil {
-					copies, pl = st.recordFate(sl, round, from, j, pl, res)
+					copies, b = st.recordFate(sl, round, from, j, out.Payload, b, res)
 					if copies == 0 {
 						continue
 					}
 				}
-				st.count(sl, j, copies, pl)
-				st.account(pl, copies, res)
+				st.count(sl, j, copies, b)
+				st.account(b, copies, res)
 			}
 		}
 		if tr != nil && st.roundMsgs > msgs0 {
@@ -364,26 +365,27 @@ func (st *state) routeLanes(round int, res *Result) {
 	st.emitShardLedgers(round)
 }
 
-// recordFate intercepts one in-flight message and records the verdict in
-// the sending lane's replay stream for the placement pass. It returns the
-// delivered copy count (0 = dropped) with the possibly-replaced payload.
+// recordFate intercepts one in-flight message of b bits and records the
+// verdict in the sending lane's replay stream for the placement pass. It
+// returns the delivered copy count (0 = dropped) with the delivered size,
+// which corruption may have changed.
 //
 //dgp:hotpath
-func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, res *Result) (int, Payload) {
-	copies, pl, swap := st.interceptFate(round, from, j, payload, res)
+func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, b int, res *Result) (int, int) {
+	copies, cb, swap := st.interceptFate(round, from, j, payload, b, res)
 	ls.fateCopies = append(ls.fateCopies, int32(copies))
 	ls.fateSwap = append(ls.fateSwap, swap)
-	return copies, pl
+	return copies, cb
 }
 
-// count books one surviving delivery of copies messages to j: the
-// destination's region count, plus, on multi-lane runs, the slot cursor
-// and the per-shard ledgers.
+// count books one surviving delivery of copies messages of b bits to j:
+// the destination's region count, plus, on multi-lane runs, the slot
+// cursor and the per-shard ledgers.
 //
 //dgp:hotpath
-func (st *state) count(src *laneState, j, copies int, payload Payload) {
+func (st *state) count(src *laneState, j, copies, b int) {
 	if st.exch != nil {
-		st.countShard(src, j, copies, payload)
+		st.countShard(src, j, copies, b)
 		return
 	}
 	st.inCnt[j] += int32(copies)
@@ -394,13 +396,12 @@ func (st *state) count(src *laneState, j, copies int, payload Payload) {
 // delivered/injected/boundary ledgers.
 //
 //dgp:hotpath
-func (st *state) countShard(src *laneState, j, copies int, payload Payload) {
+func (st *state) countShard(src *laneState, j, copies, b int) {
 	dst := st.laneOf[j]
 	src.within = append(src.within, st.inCnt[j])
 	st.inCnt[j] += int32(copies)
-	b := 0
-	if bs, ok := payload.(BitSized); ok && bs.Bits() > 0 {
-		b = bs.Bits()
+	if b < 0 {
+		b = 0
 	}
 	ss := &st.shardStats[dst]
 	ss.Delivered += copies
@@ -462,12 +463,13 @@ func (ls *laneState) place() {
 				if !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
+				m := Msg{From: from, Tag: out.Tag, Payload: out.Payload}
 				if direct {
-					arena[st.inFill[j]] = Msg{From: from, Payload: out.Payload}
+					arena[st.inFill[j]] = m
 					st.inFill[j]++
 					continue
 				}
-				fi, wi = ls.put(j, Msg{From: from, Payload: out.Payload}, fi, wi)
+				fi, wi = ls.put(j, m, fi, wi)
 			}
 		}
 	}
@@ -488,7 +490,8 @@ func (ls *laneState) place() {
 }
 
 // put places one surviving message outside the direct case: it replays
-// the recorded fate under an adversary (copies, replacement payload), then
+// the recorded fate under an adversary (copies, replacement payload, which
+// travels untagged), then
 // writes the copies at j's inFill cursor on one lane or through deliver on
 // several. It returns the advanced fate and within cursors.
 //
@@ -499,7 +502,7 @@ func (ls *laneState) put(j int, m Msg, fi, wi int) (int, int) {
 	if st.cfg.Adversary != nil {
 		copies = int(ls.fateCopies[fi])
 		if swap := ls.fateSwap[fi]; swap != nil {
-			m.Payload = swap
+			m.Tag, m.Payload = 0, swap
 		}
 		fi++
 	}

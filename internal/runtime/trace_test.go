@@ -275,7 +275,7 @@ type dropEveryOther struct{ calls int }
 
 func (a *dropEveryOther) Crashes(n int) map[int]int { return nil }
 
-func (a *dropEveryOther) Intercept(round, from, to int, payload runtime.Payload) runtime.Fate {
+func (a *dropEveryOther) Intercept(round, from, to int, payload runtime.Payload, bits int) runtime.Fate {
 	a.calls++
 	if a.calls%2 == 0 {
 		return runtime.Fate{Drop: true}

@@ -18,7 +18,7 @@ type predMsg struct{ Bit int }
 func (predMsg) Bits() int { return 2 }
 
 func notifyAndOutput(c *core.StageCtx, mem *Memory, bit int) []runtime.Out {
-	outs := runtime.BroadcastTo(mem.ActiveNeighbors(c.Info()), notify{Bit: bit})
+	outs := c.BroadcastActive(mem.NbrOut, notify{Bit: bit})
 	c.Output(bit)
 	return outs
 }
@@ -26,7 +26,7 @@ func notifyAndOutput(c *core.StageCtx, mem *Memory, bit int) []runtime.Out {
 func record(mem *Memory, inbox []runtime.Msg) (gotOne bool) {
 	for _, msg := range inbox {
 		if nt, ok := msg.Payload.(notify); ok {
-			mem.NbrOut[msg.From] = nt.Bit
+			mem.NbrOut.Set(msg.From, nt.Bit)
 			if nt.Bit == 1 {
 				gotOne = true
 			}
@@ -62,7 +62,7 @@ func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	mem := m.mem
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predMsg{Bit: mem.Pred})
+		return c.Broadcast(predMsg{Bit: mem.Pred})
 	case 2:
 		if mem.Pred == 1 && !m.blackParent() {
 			return notifyAndOutput(c, mem, 1)
@@ -87,7 +87,7 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	case 1:
 		for _, msg := range inbox {
 			if pm, ok := msg.Payload.(predMsg); ok {
-				m.mem.NbrPred[msg.From] = pm.Bit
+				m.mem.NbrPred.Set(msg.From, pm.Bit)
 			}
 		}
 	case 2:
@@ -101,11 +101,13 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 }
 
 func (m *initMachine) blackParent() bool {
-	return m.mem.ParentID != 0 && m.mem.NbrPred[m.mem.ParentID] == 1
+	p, _ := m.mem.NbrPred.Get(m.mem.ParentID)
+	return m.mem.ParentID != 0 && p == 1
 }
 
 func (m *initMachine) whiteParent() bool {
-	return m.mem.ParentID != 0 && m.mem.NbrPred[m.mem.ParentID] == 0
+	p, _ := m.mem.NbrPred.Get(m.mem.ParentID)
+	return m.mem.ParentID != 0 && p == 0
 }
 
 // RootsAndLeaves returns the measure-uniform rooted-tree MIS algorithm
@@ -149,7 +151,7 @@ func (m *rootsLeavesMachine) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound()%2 == 1 {
 		m.wasLeaf = false
 		if !mem.ParentActive() {
-			outs := runtime.BroadcastTo(mem.ActiveChildren(c.Info()), rootMsg{})
+			outs := c.BroadcastTo(mem.ActiveChildren(c.Info()), rootMsg{})
 			c.Output(1)
 			return outs
 		}
@@ -171,7 +173,7 @@ func (m *rootsLeavesMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 		for _, msg := range inbox {
 			switch msg.Payload.(type) {
 			case rootMsg:
-				m.mem.NbrOut[msg.From] = 1
+				m.mem.NbrOut.Set(msg.From, 1)
 				if msg.From == m.mem.ParentID {
 					parentIsRoot = true
 				}
@@ -208,10 +210,8 @@ func Cleanup() core.Stage {
 type treeCleanupMachine struct{ mem *Memory }
 
 func (m *treeCleanupMachine) Send(c *core.StageCtx) []runtime.Out {
-	for _, bit := range m.mem.NbrOut {
-		if bit == 1 {
-			return notifyAndOutput(c, m.mem, 0)
-		}
+	if m.mem.NbrOut.Contains(1) {
+		return notifyAndOutput(c, m.mem, 0)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ package tree
 import (
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/runtime"
 )
@@ -151,10 +152,10 @@ type Memory struct {
 	Pred int
 	// ParentID is the identifier of the node's parent, 0 at roots.
 	ParentID int
-	// NbrPred maps neighbor ID to its announced prediction.
-	NbrPred map[int]int
-	// NbrOut maps neighbor ID to its output bit; presence = terminated.
-	NbrOut map[int]int
+	// NbrPred holds each neighbor's announced prediction.
+	NbrPred core.NbrTable
+	// NbrOut holds each neighbor's output bit; presence = terminated.
+	NbrOut core.NbrTable
 	// Color and Palette hold the 3-coloring stored by reference part 1.
 	Color, Palette int
 }
@@ -171,24 +172,15 @@ func NewMemory(r *Rooted) func(info runtime.NodeInfo, pred any) any {
 		if p, ok := pred.(int); ok {
 			bit = p
 		}
-		return &Memory{
-			Pred:     bit,
-			ParentID: r.ParentID(info.Index),
-			NbrPred:  make(map[int]int, len(info.NeighborIDs)),
-			NbrOut:   make(map[int]int, len(info.NeighborIDs)),
-		}
+		m := &Memory{Pred: bit, ParentID: r.ParentID(info.Index)}
+		core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrOut)
+		return m
 	}
 }
 
 // ActiveNeighbors returns neighbors not known to have terminated.
 func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
-	out := make([]int, 0, len(info.NeighborIDs))
-	for _, nb := range info.NeighborIDs {
-		if _, gone := m.NbrOut[nb]; !gone {
-			out = append(out, nb)
-		}
-	}
-	return out
+	return m.NbrOut.Missing()
 }
 
 // ParentActive reports whether the node still has an active parent.
@@ -196,8 +188,7 @@ func (m *Memory) ParentActive() bool {
 	if m.ParentID == 0 {
 		return false
 	}
-	_, gone := m.NbrOut[m.ParentID]
-	return !gone
+	return !m.NbrOut.Has(m.ParentID)
 }
 
 // ActiveChildren returns the active neighbors other than the parent.

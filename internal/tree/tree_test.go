@@ -1,7 +1,9 @@
 package tree_test
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -75,6 +77,17 @@ func TestTreeInitConsistency(t *testing.T) {
 				t.Errorf("consistency: got %d rounds, want <= 3", res.Rounds)
 			}
 		})
+	}
+}
+
+// TestTreeInitExtremePrediction: a parent predicting math.MinInt is
+// neither black nor white, so its white child joins in round 3. Every
+// integer prediction must round-trip through the neighbor table.
+func TestTreeInitExtremePrediction(t *testing.T) {
+	r := tree.DirectedLine(6)
+	res := runTreeMIS(t, r, tree.SimpleRootsLeaves(r), []int{math.MinInt, 0, math.MinInt, 0, 1, 0})
+	if want := []any{0, 1, 0, 0, 1, 0}; !reflect.DeepEqual(res.Outputs, want) || res.Rounds != 4 {
+		t.Errorf("outputs %v in %d rounds, want %v in 4", res.Outputs, res.Rounds, want)
 	}
 }
 

@@ -83,7 +83,7 @@ func newLinial(info runtime.NodeInfo, finish func(c *core.StageCtx, color, palet
 }
 
 func (m *linialMachine) Send(c *core.StageCtx) []runtime.Out {
-	return runtime.Broadcast(c.Info(), colorMsg{C: m.color})
+	return c.Broadcast(colorMsg{C: m.color})
 }
 
 func (m *linialMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {

@@ -48,7 +48,7 @@ type listMachine struct {
 }
 
 func (m *listMachine) Send(c *core.StageCtx) []runtime.Out {
-	return runtime.Broadcast(c.Info(), colorMsg{C: m.color})
+	return c.Broadcast(colorMsg{C: m.color})
 }
 
 func (m *listMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {

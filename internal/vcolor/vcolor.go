@@ -15,11 +15,11 @@ import (
 type Memory struct {
 	// Pred is the node's predicted color.
 	Pred int
-	// NbrPred maps neighbor ID to announced prediction.
-	NbrPred map[int]int
-	// NbrColor maps neighbor ID to its output color; presence means the
+	// NbrPred holds each neighbor's announced prediction.
+	NbrPred core.NbrTable
+	// NbrColor holds each neighbor's output color; presence means the
 	// neighbor has terminated.
-	NbrColor map[int]int
+	NbrColor core.NbrTable
 	// Color and Palette hold the tentative color stored by reference part 1
 	// in the Parallel Template.
 	Color, Palette int
@@ -34,19 +34,14 @@ func NewMemory(info runtime.NodeInfo, pred any) any {
 	if v, ok := pred.(int); ok {
 		p = v
 	}
-	return &Memory{
-		Pred:     p,
-		NbrPred:  make(map[int]int, len(info.NeighborIDs)),
-		NbrColor: make(map[int]int, len(info.NeighborIDs)),
-	}
+	m := &Memory{Pred: p}
+	core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrColor)
+	return m
 }
 
 // ForbiddenColors returns the colors output by terminated neighbors, sorted.
 func (m *Memory) ForbiddenColors() []int {
-	out := make([]int, 0, len(m.NbrColor))
-	for _, c := range m.NbrColor {
-		out = append(out, c)
-	}
+	out := m.NbrColor.Values()
 	sort.Ints(out)
 	return out
 }
@@ -60,13 +55,7 @@ type PaletteMemory interface {
 
 // ActiveNeighbors returns neighbors not known to have terminated.
 func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
-	out := make([]int, 0, len(info.NeighborIDs))
-	for _, nb := range info.NeighborIDs {
-		if _, gone := m.NbrColor[nb]; !gone {
-			out = append(out, nb)
-		}
-	}
-	return out
+	return m.NbrColor.Missing()
 }
 
 // colorNotify is sent just before a node terminates with its color.
@@ -84,7 +73,7 @@ func (predColorMsg) Bits() int { return 16 }
 func (m *Memory) recordNotifies(inbox []runtime.Msg) {
 	for _, msg := range inbox {
 		if cn, ok := msg.Payload.(colorNotify); ok {
-			m.NbrColor[msg.From] = cn.C
+			m.NbrColor.Set(msg.From, cn.C)
 		}
 	}
 }
@@ -119,10 +108,10 @@ type initMachine struct {
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		return runtime.Broadcast(c.Info(), predColorMsg{C: m.mem.Pred})
+		return c.Broadcast(predColorMsg{C: m.mem.Pred})
 	case 2:
 		if m.keepsPrediction(c.Info()) {
-			outs := runtime.Broadcast(c.Info(), colorNotify{C: m.mem.Pred})
+			outs := c.Broadcast(colorNotify{C: m.mem.Pred})
 			c.Output(m.mem.Pred)
 			return outs
 		}
@@ -135,7 +124,7 @@ func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	case 1:
 		for _, msg := range inbox {
 			if pm, ok := msg.Payload.(predColorMsg); ok {
-				m.mem.NbrPred[msg.From] = pm.C
+				m.mem.NbrPred.Set(msg.From, pm.C)
 			}
 		}
 	case 2:
@@ -148,8 +137,8 @@ func (m *initMachine) keepsPrediction(info runtime.NodeInfo) bool {
 	if m.mem.Pred < 1 || m.mem.Pred > info.Delta+1 {
 		return false
 	}
-	for _, nb := range info.NeighborIDs {
-		if m.mem.NbrPred[nb] != m.mem.Pred {
+	for k, nb := range info.NeighborIDs {
+		if p, _ := m.mem.NbrPred.At(k); p != m.mem.Pred {
 			continue
 		}
 		if !m.tieBreak || nb > info.ID {
@@ -188,7 +177,7 @@ func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
 		}
 	}
 	color := smallestFreePalette(c.Info().Delta+1, m.mem.ForbiddenColors())
-	outs := runtime.BroadcastTo(active, colorNotify{C: color})
+	outs := c.BroadcastTo(active, colorNotify{C: color})
 	c.Output(color)
 	return outs
 }

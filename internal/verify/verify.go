@@ -95,8 +95,8 @@ func Matching(g *graph.Graph, out []int) error {
 			}
 			continue
 		}
-		u := g.IndexOfID(p)
-		if u < 0 || !g.HasEdge(v, u) {
+		u := g.NeighborByID(v, p)
+		if u < 0 {
 			return fmt.Errorf("verify: node %d matched to non-neighbor %d", g.ID(v), p)
 		}
 		if out[u] != g.ID(v) {
@@ -124,8 +124,8 @@ func MatchingPartialExtendable(g *graph.Graph, out []int) error {
 				}
 			}
 		default:
-			u := g.IndexOfID(out[v])
-			if u < 0 || !g.HasEdge(v, u) {
+			u := g.NeighborByID(v, out[v])
+			if u < 0 {
 				return fmt.Errorf("verify: node %d matched to non-neighbor %d", g.ID(v), out[v])
 			}
 			if out[u] != g.ID(v) {
