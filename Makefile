@@ -47,14 +47,18 @@ vet:
 	$(GO) vet ./...
 
 # The trace determinism contract, checked through the CLIs: a fixed-seed
-# chaotic self-healing run records the same event stream on both engines
-# (durations excepted — `dgp-trace diff` canonicalizes them away).
+# chaotic self-healing run and the damaging session stream each record the
+# same event stream on both engines (durations excepted — `dgp-trace diff`
+# canonicalizes them away).
 trace-golden:
 	$(GO) build -o /tmp/dgp-run ./cmd/dgp-run
 	$(GO) build -o /tmp/dgp-trace ./cmd/dgp-trace
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -trace /tmp/seq.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -parallel -trace /tmp/pool.jsonl
 	/tmp/dgp-trace diff /tmp/seq.jsonl /tmp/pool.jsonl
+	/tmp/dgp-run $(HEAL_SESSION) -trace /tmp/session-seq.jsonl > /dev/null
+	/tmp/dgp-run $(HEAL_SESSION) -parallel -trace /tmp/session-pool.jsonl > /dev/null
+	/tmp/dgp-trace diff /tmp/session-seq.jsonl /tmp/session-pool.jsonl
 
 # Disabled tracing must stay near-zero-cost: the steady-state allocation
 # budget test fails if the per-round allocation count regresses (0
@@ -122,12 +126,19 @@ perf-baseline:
 	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4 -bench-out testdata/perf/baseline > /dev/null
 	$(GO) run ./cmd/dgp-perf validate testdata/perf/baseline
 
-# The dynamic-session path end to end: the update-stream CLI under stream
-# chaos on both engines, then the CH5/CH6 recovery tables (batch-size sweep
-# and the 250k-node scale run demonstrating rounds ∝ η, not n).
+# A damaging update stream: each batch inserts a clique among eight nodes,
+# so the stale MIS gains in-set conflicts that the session must heal.
+HEAL_SESSION = -problem mis -graph gnp -n 200 -seed 7 -updates testdata/heal_updates.jsonl -streamchaos 0.3
+
+# The dynamic-session path end to end: the damaging update stream under
+# stream chaos on both engines (identical reports, non-zero recovery
+# rounds), then the CH5/CH6 recovery tables (batch-size sweep and the
+# 250k-node scale run demonstrating rounds ∝ η, not n).
 dynamic-smoke:
 	$(GO) build -o /tmp/dgp-run ./cmd/dgp-run
-	printf '{"seq":1,"insert":[[0,50],[1,60]]}\n{"seq":2,"delete":[[0,50]],"insert":[[2,70]]}\n{"seq":1,"insert":[[0,50]]}\n' > /tmp/updates.jsonl
-	/tmp/dgp-run -problem mis -graph gnp -n 200 -seed 7 -updates /tmp/updates.jsonl -streamchaos 0.3
-	/tmp/dgp-run -problem mis -graph gnp -n 200 -seed 7 -updates /tmp/updates.jsonl -streamchaos 0.3 -parallel
+	/tmp/dgp-run $(HEAL_SESSION) > /tmp/session-seq.txt
+	/tmp/dgp-run $(HEAL_SESSION) -parallel > /tmp/session-pool.txt
+	cat /tmp/session-seq.txt
+	diff /tmp/session-seq.txt /tmp/session-pool.txt
+	grep -q 'recoveryRounds=[1-9]' /tmp/session-seq.txt || { echo 'dynamic-smoke: the update stream never healed'; exit 1; }
 	$(GO) run ./cmd/dgp-bench -exp dynamic

@@ -12,6 +12,10 @@
 // with the damage radius of the batch (the error measure η of the stale
 // prediction), not with the graph size — the dynamic reading of the paper's
 // Observation 7 (η = 0 ⇒ the template reproduces the prediction verbatim).
+// Every engine run of a session is one heal.Extend — the single healing run
+// of internal/heal — over a partial solution: the carve (or its widening)
+// on an incremental attempt, an all-undecided vector for the opening run
+// and the from-scratch rung.
 //
 // Each incremental step runs under a robustness envelope: a per-step round
 // cap and deadline, and a bounded degradation ladder on failure. Attempt 0
@@ -72,11 +76,8 @@ type Batch struct {
 	Updates []Update
 }
 
-// Config configures a session.
-type Config struct {
-	// Problem names the registered problem; it must register healing
-	// machinery (ProblemInfo.CanHeal).
-	Problem string
+// Options configures a session.
+type Options struct {
 	// Parallel selects the worker-pool engine for every run in the session.
 	Parallel bool
 	// MaxRetries bounds the degradation ladder: attempts 1..MaxRetries-1
@@ -148,7 +149,7 @@ var ErrClosed = errors.New("dynamic: session is closed")
 // Session owns a mutable graph and the current valid output on it.
 // Not safe for concurrent use.
 type Session struct {
-	cfg    Config
+	opts   Options
 	d      *problem.Descriptor
 	spec   heal.Spec
 	g      *graph.Graph
@@ -159,14 +160,16 @@ type Session struct {
 	closed bool
 }
 
-// Open starts a session on g: it resolves the problem's healing machinery,
-// runs the problem's Simple Template prediction-free to obtain the initial
-// valid output, and returns the live session.
-func Open(g *graph.Graph, cfg Config) (*Session, error) {
+// Open starts a session on g for the named registered problem, which must
+// register healing machinery (ProblemInfo.CanHeal): it resolves that
+// machinery, Extends an all-undecided partial solution — the problem's Simple
+// Template run prediction-free — to obtain the initial valid output, and
+// returns the live session.
+func Open(g *graph.Graph, problemName string, opts Options) (*Session, error) {
 	if g == nil {
 		return nil, fmt.Errorf("%w: dynamic: a graph is required", runtime.ErrConfig)
 	}
-	d, err := problem.Get(cfg.Problem)
+	d, err := problem.Get(problemName)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: %w", err)
 	}
@@ -174,18 +177,21 @@ func Open(g *graph.Graph, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: %w", err)
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
+	if opts.MaxRetries <= 0 {
+		opts.MaxRetries = 2
 	}
-	s := &Session{cfg: cfg, d: d, spec: spec, g: g, seen: make(map[int]bool)}
-	out, res, err := s.fullRun()
+	s := &Session{opts: opts, d: d, spec: spec, g: g, seen: make(map[int]bool)}
+	out, res, err := heal.Extend(s.runConfig(), spec, allUndecided(g.N()))
 	if err != nil {
+		if res != nil {
+			err = fmt.Errorf("dynamic: prediction-free run produced an invalid solution: %w", err)
+		}
 		return nil, fmt.Errorf("dynamic: opening run failed: %w", err)
 	}
 	s.out = out
 	s.stats.InitialRounds = res.Rounds
-	if cfg.Trace != nil {
-		cfg.Trace.Emit(obs.Event{
+	if opts.Trace != nil {
+		opts.Trace.Emit(obs.Event{
 			Type: obs.EvSession, Name: "open", Text: d.Name,
 			Value: int64(g.N()), Aux: int64(g.M()),
 		})
@@ -215,8 +221,8 @@ func (s *Session) Problem() string { return s.d.Name }
 func (s *Session) Close() Stats {
 	if !s.closed {
 		s.closed = true
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.Emit(obs.Event{
+		if s.opts.Trace != nil {
+			s.opts.Trace.Emit(obs.Event{
 				Type: obs.EvSession, Name: "close", Text: s.d.Name,
 				Value: int64(s.stats.Applied), Aux: int64(s.stats.RecoveryRounds),
 			})
@@ -235,10 +241,10 @@ func (s *Session) Apply(b Batch) (StepReport, error) {
 }
 
 func (s *Session) configuredAdversary(attempt int) runtime.Adversary {
-	if s.cfg.Adversary == nil {
+	if s.opts.Adversary == nil {
 		return nil
 	}
-	return s.cfg.Adversary(s.step, attempt)
+	return s.opts.Adversary(s.step, attempt)
 }
 
 func (s *Session) apply(b Batch, advFor func(attempt int) runtime.Adversary) (StepReport, error) {
@@ -286,7 +292,7 @@ func (s *Session) apply(b Batch, advFor func(attempt int) runtime.Adversary) (St
 }
 
 func (s *Session) emitUpdate(rep StepReport, cause error) {
-	if s.cfg.Trace == nil {
+	if s.opts.Trace == nil {
 		return
 	}
 	e := obs.Event{
@@ -296,11 +302,12 @@ func (s *Session) emitUpdate(rep StepReport, cause error) {
 	if cause != nil {
 		e.Err = cause.Error()
 	}
-	s.cfg.Trace.Emit(e)
+	s.opts.Trace.Emit(e)
 }
 
 // healStep restores output validity on the freshly patched graph, walking
-// the degradation ladder until an attempt verifies.
+// the degradation ladder until an attempt verifies. Every rung is one
+// heal.Extend over that rung's partial solution.
 func (s *Session) healStep(rep *StepReport, advFor func(attempt int) runtime.Adversary) error {
 	g := s.g
 	if s.spec.Verify(g, s.out) == nil {
@@ -308,17 +315,14 @@ func (s *Session) healStep(rep *StepReport, advFor func(attempt int) runtime.Adv
 		return nil
 	}
 	basePartial, baseResidual := s.spec.Carve(g, s.out)
-	tr := s.cfg.Trace
+	tr := s.opts.Trace
 	for attempt := 0; ; attempt++ {
 		partial, residual := basePartial, baseResidual
-		full := attempt >= s.cfg.MaxRetries
+		full := attempt >= s.opts.MaxRetries
 		switch {
 		case full:
-			partial = make([]int, g.N())
-			for i := range partial {
-				partial[i] = verify.Undecided
-			}
-			residual = residualAll(g.N())
+			partial = allUndecided(g.N())
+			residual = heal.Residual(partial)
 			rep.FullRerun = true
 		case attempt > 0:
 			// The previous rung's damage estimate was too tight: demote a
@@ -328,65 +332,68 @@ func (s *Session) healStep(rep *StepReport, advFor func(attempt int) runtime.Adv
 			rep.Widened++
 		}
 		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvCarve, Value: int64(len(residual)), Aux: int64(demotedBy(s.out, partial))})
+			tr.Emit(heal.CarveEvent(s.out, partial, residual))
 		}
-		preds := make([]any, g.N())
-		for i, p := range partial {
-			if p == verify.Undecided {
-				preds[i] = s.spec.UndecidedPred
-			} else {
-				preds[i] = p
-			}
-		}
-		cfg := runtime.Config{
-			Graph:       g,
-			Factory:     s.spec.HealFactory,
-			Predictions: preds,
-			Parallel:    s.cfg.Parallel,
-			Trace:       tr,
-			Telemetry:   s.cfg.Telemetry,
-		}
+		cfg := s.runConfig()
 		if !full {
 			// The final rung abandons the envelope: prediction-free,
 			// fault-free, uncapped — chaos is transient, and a session must
 			// degrade to a from-scratch run rather than wedge.
-			cfg.MaxRounds = s.cfg.StepMaxRounds
-			cfg.RoundDeadline = s.cfg.StepDeadline
+			cfg.MaxRounds = s.opts.StepMaxRounds
+			cfg.RoundDeadline = s.opts.StepDeadline
 			cfg.Adversary = advFor(attempt)
 		}
 		lastRound := 0
 		cfg.Observer = func(round int, outputs []any, active []bool) { lastRound = round }
-		res, err := runtime.Run(cfg)
+		healed, res, err := heal.Extend(cfg, s.spec, partial)
 		rep.Attempts++
 		if err != nil && errors.Is(err, runtime.ErrConfig) {
 			// The run never started; retrying cannot help.
 			return fmt.Errorf("dynamic: healing run misconfigured: %w", err)
 		}
-		if err == nil {
+		if res != nil {
 			rep.Rounds += res.Rounds
-			healed := intsOf(res.Outputs)
-			verr := s.spec.Verify(g, healed)
-			if verr == nil {
-				s.out = healed
-				rep.Residual = len(residual)
-				rep.Messages = res.Messages
-				return nil
-			}
-			err = verr
 		} else {
 			rep.Rounds += lastRound
+		}
+		if err == nil {
+			s.out = healed
+			rep.Residual = len(residual)
+			rep.Messages = res.Messages
+			return nil
 		}
 		if full {
 			return fmt.Errorf("dynamic: from-scratch rerun failed: %w", err)
 		}
 		if tr != nil {
 			rung := "widen"
-			if attempt+1 >= s.cfg.MaxRetries {
+			if attempt+1 >= s.opts.MaxRetries {
 				rung = "full"
 			}
 			tr.Emit(obs.Event{Type: obs.EvRetry, Name: rung, Value: int64(attempt), Err: err.Error()})
 		}
 	}
+}
+
+// runConfig is the engine setting every run of the session shares: the
+// current graph, the engine mode, and the observability sinks.
+func (s *Session) runConfig() runtime.Config {
+	return runtime.Config{
+		Graph:     s.g,
+		Parallel:  s.opts.Parallel,
+		Trace:     s.opts.Trace,
+		Telemetry: s.opts.Telemetry,
+	}
+}
+
+// allUndecided is the partial solution with no decided node: extending it
+// is the prediction-free from-scratch run.
+func allUndecided(n int) []int {
+	partial := make([]int, n)
+	for i := range partial {
+		partial[i] = verify.Undecided
+	}
+	return partial
 }
 
 // ApplyStream delivers batches under stream chaos: the policy's seeded plan
@@ -430,32 +437,6 @@ func (s *Session) ApplyStream(batches []Batch, sp *fault.StreamPolicy) ([]StepRe
 	return reports, stats, nil
 }
 
-// fullRun executes the problem's Simple Template prediction-free and
-// fault-free on the current graph and verifies the result.
-func (s *Session) fullRun() ([]int, *runtime.Result, error) {
-	n := s.g.N()
-	preds := make([]any, n)
-	for i := range preds {
-		preds[i] = s.spec.UndecidedPred
-	}
-	res, err := runtime.Run(runtime.Config{
-		Graph:       s.g,
-		Factory:     s.spec.HealFactory,
-		Predictions: preds,
-		Parallel:    s.cfg.Parallel,
-		Trace:       s.cfg.Trace,
-		Telemetry:   s.cfg.Telemetry,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := intsOf(res.Outputs)
-	if verr := s.spec.Verify(s.g, out); verr != nil {
-		return nil, nil, fmt.Errorf("dynamic: prediction-free run produced an invalid solution: %w", verr)
-	}
-	return out, res, nil
-}
-
 func toPatch(updates []Update) (graph.Patch, error) {
 	var p graph.Patch
 	for _, u := range updates {
@@ -469,35 +450,4 @@ func toPatch(updates []Update) (graph.Patch, error) {
 		}
 	}
 	return p, nil
-}
-
-func intsOf(outputs []any) []int {
-	out := make([]int, len(outputs))
-	for i, o := range outputs {
-		out[i] = verify.Undecided
-		if v, ok := o.(int); ok {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-func residualAll(n int) []int {
-	res := make([]int, n)
-	for i := range res {
-		res[i] = i
-	}
-	return res
-}
-
-// demotedBy counts decided entries of out that partial leaves undecided —
-// the carve's collateral beyond the directly damaged region.
-func demotedBy(out, partial []int) int {
-	demoted := 0
-	for i := range partial {
-		if partial[i] == verify.Undecided && i < len(out) && out[i] != verify.Undecided {
-			demoted++
-		}
-	}
-	return demoted
 }

@@ -77,7 +77,7 @@ func TestSessionIncrementalStaysValid(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			g := sessionGraph(t, name, 60, rng)
-			s, err := dynamic.Open(g, dynamic.Config{Problem: name})
+			s, err := dynamic.Open(g, name, dynamic.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestSessionOutputIsTemplateFixedPoint(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			g := sessionGraph(t, name, 50, rng)
-			s, err := dynamic.Open(g, dynamic.Config{Problem: name})
+			s, err := dynamic.Open(g, name, dynamic.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestSessionDuplicateAndRejectedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GNP(30, 0.1, rng)
 	rec := obs.NewRecorder(0)
-	s, err := dynamic.Open(g, dynamic.Config{Problem: "mis", Trace: rec})
+	s, err := dynamic.Open(g, "mis", dynamic.Options{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSessionEngineParity(t *testing.T) {
 			run := func(parallel bool) outcome {
 				rng := rand.New(rand.NewSource(7))
 				g := sessionGraph(t, name, 40, rng)
-				s, err := dynamic.Open(g, dynamic.Config{Problem: name, Parallel: parallel})
+				s, err := dynamic.Open(g, name, dynamic.Options{Parallel: parallel})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func TestSessionReorderHeavyEngineParity(t *testing.T) {
 	run := func(parallel bool) outcome {
 		rng := rand.New(rand.NewSource(17))
 		g := graph.GNP(40, 0.12, rng)
-		s, err := dynamic.Open(g, dynamic.Config{Problem: "mis", Parallel: parallel})
+		s, err := dynamic.Open(g, "mis", dynamic.Options{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestSessionReorderHeavyEngineParity(t *testing.T) {
 func TestSessionStreamChaosConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := graph.GNP(50, 0.1, rng)
-	s, err := dynamic.Open(g, dynamic.Config{Problem: "mis"})
+	s, err := dynamic.Open(g, "mis", dynamic.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,14 +298,14 @@ func TestSessionStreamChaosConverges(t *testing.T) {
 }
 
 func TestOpenRejectsMisconfiguration(t *testing.T) {
-	if _, err := dynamic.Open(nil, dynamic.Config{Problem: "mis"}); err == nil {
+	if _, err := dynamic.Open(nil, "mis", dynamic.Options{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 	g := graph.Ring(4)
-	if _, err := dynamic.Open(g, dynamic.Config{Problem: "nope"}); err == nil {
+	if _, err := dynamic.Open(g, "nope", dynamic.Options{}); err == nil {
 		t.Fatal("unknown problem accepted")
 	}
-	if _, err := dynamic.Open(g, dynamic.Config{Problem: "ecolor"}); err == nil {
+	if _, err := dynamic.Open(g, "ecolor", dynamic.Options{}); err == nil {
 		t.Fatal("unhealable problem accepted")
 	}
 }

@@ -79,8 +79,7 @@ func TestEscalationLadderWalksToFullRerun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.GNP(40, 0.1, rng)
 	rec := obs.NewRecorder(0)
-	s, err := dynamic.Open(g, dynamic.Config{
-		Problem:       "mis",
+	s, err := dynamic.Open(g, "mis", dynamic.Options{
 		StepMaxRounds: 20,
 		Trace:         rec,
 		Adversary: func(step, attempt int) runtime.Adversary {
@@ -125,8 +124,7 @@ func TestEscalationStopsAtWidenRung(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.GNP(40, 0.1, rng)
 	rec := obs.NewRecorder(0)
-	s, err := dynamic.Open(g, dynamic.Config{
-		Problem:       "mis",
+	s, err := dynamic.Open(g, "mis", dynamic.Options{
 		StepMaxRounds: 20,
 		Trace:         rec,
 		Adversary: func(step, attempt int) runtime.Adversary {
@@ -166,8 +164,7 @@ func TestEscalationDeeperLadder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.GNP(40, 0.1, rng)
 	rec := obs.NewRecorder(0)
-	s, err := dynamic.Open(g, dynamic.Config{
-		Problem:       "mis",
+	s, err := dynamic.Open(g, "mis", dynamic.Options{
 		MaxRetries:    3,
 		StepMaxRounds: 20,
 		Trace:         rec,
@@ -198,7 +195,7 @@ func TestEscalationDeeperLadder(t *testing.T) {
 func TestStepSkipsHealWhenOutputSurvives(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := graph.GNP(40, 0.15, rng)
-	s, err := dynamic.Open(g, dynamic.Config{Problem: "mis"})
+	s, err := dynamic.Open(g, "mis", dynamic.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type Builder struct {
 	n     int
 	ids   []int
 	d     int
-	edges map[[2]int]struct{}
+	edges [][2]int
 }
 
 // NewBuilder creates a builder for a graph with n nodes whose identifiers
@@ -43,12 +43,7 @@ func NewBuilder(n int) *Builder {
 	for i := range ids {
 		ids[i] = i + 1
 	}
-	return &Builder{
-		n:     n,
-		ids:   ids,
-		d:     n,
-		edges: make(map[[2]int]struct{}),
-	}
+	return &Builder{n: n, ids: ids, d: n}
 }
 
 // SetID assigns identifier id to node index i. Identifiers must be distinct
@@ -69,84 +64,17 @@ func (b *Builder) SetDomain(d int) *Builder {
 }
 
 // AddEdge adds the undirected edge {u, v} (node indices). Self-loops and
-// duplicate edges are rejected in Build via error; duplicates are coalesced.
+// out-of-range endpoints are rejected in Build via error; duplicates are
+// coalesced.
 func (b *Builder) AddEdge(u, v int) *Builder {
-	if u > v {
-		u, v = v, u
-	}
-	b.edges[[2]int{u, v}] = struct{}{}
+	b.edges = append(b.edges, [2]int{u, v})
 	return b
 }
 
-// Build validates the accumulated structure and returns the immutable graph.
+// Build validates the accumulated structure and returns the immutable graph
+// (FromEdges over a copy of the added edges).
 func (b *Builder) Build() (*Graph, error) {
-	seen := make(map[int]struct{}, b.n)
-	for i, id := range b.ids {
-		if id <= 0 {
-			return nil, fmt.Errorf("graph: node %d has non-positive identifier %d", i, id)
-		}
-		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("graph: duplicate identifier %d", id)
-		}
-		seen[id] = struct{}{}
-		if id > b.d {
-			b.d = id
-		}
-	}
-	edges := make([][2]int, 0, len(b.edges))
-	for e := range b.edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	// Validate after sorting so the reported edge is the canonical first
-	// offender, not whichever the map served up this run.
-	for _, e := range edges {
-		if e[0] == e[1] {
-			return nil, fmt.Errorf("graph: self-loop at node %d", e[0])
-		}
-		if e[0] < 0 || e[1] >= b.n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e[0], e[1], b.n)
-		}
-	}
-
-	deg := make([]int32, b.n)
-	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	offsets := make([]int32, b.n+1)
-	for i := 0; i < b.n; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
-	}
-	adj := make([]int32, offsets[b.n])
-	fill := make([]int32, b.n)
-	copy(fill, offsets[:b.n])
-	for _, e := range edges {
-		u, v := int32(e[0]), int32(e[1])
-		adj[fill[u]] = v
-		fill[u]++
-		adj[fill[v]] = u
-		fill[v]++
-	}
-	for i := 0; i < b.n; i++ {
-		s := adj[offsets[i]:offsets[i+1]]
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	}
-	ids := make([]int, b.n)
-	copy(ids, b.ids)
-	return &Graph{
-		n:       b.n,
-		d:       b.d,
-		ids:     ids,
-		offsets: offsets,
-		adj:     adj,
-		edges:   edges,
-	}, nil
+	return FromEdges(b.n, b.ids, b.d, append([][2]int(nil), b.edges...))
 }
 
 // MustBuild is Build that panics on error; intended for generators and tests
@@ -159,13 +87,12 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// FromEdges assembles a graph directly from an edge list on flat arrays,
-// skipping the Builder's per-edge map — the fast path for million-node
-// generators. The edge slice is taken over and normalized in place (u < v,
-// sorted, duplicates coalesced). ids supplies the identifier of each node
-// index and may be nil for the identity assignment 1..n; domain is the
-// identifier upper bound d (0 selects the smallest valid bound). The
-// resulting graph is identical to feeding the same edges through a Builder.
+// FromEdges assembles a graph directly from an edge list on flat arrays; it
+// is the one construction path, Builder.Build included. The edge slice is
+// taken over and normalized in place (u < v, sorted, duplicates coalesced).
+// ids supplies the identifier of each node index and may be nil for the
+// identity assignment 1..n; domain is the identifier upper bound d (0
+// selects the smallest valid bound).
 func FromEdges(n int, ids []int, domain int, edges [][2]int) (*Graph, error) {
 	for i, e := range edges {
 		if e[0] > e[1] {

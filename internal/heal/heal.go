@@ -6,13 +6,15 @@
 // conflicting pairs, decisions whose justification is gone — to
 // verify.Undecided, yielding an extendable partial solution in the paper's
 // Section 3 sense: some maximal/proper solution of the whole graph contains
-// it. RunRecovered then replays the paper's machinery on that partial
-// solution: the carved outputs are handed to the problem's Simple Template
-// as predictions, whose initialization (Section 4) keeps every decided node
-// — the one-round clean-up finds nothing to repair on an extendable partial
-// solution — and whose measure-uniform part extends the residual, so the
-// recovery cost is the degradation metric: rounds proportional to the
-// damage, not to the graph.
+// it. Extend is the one healing run: it replays the paper's machinery on a
+// partial solution — the decided outputs are handed to the problem's Simple
+// Template as predictions, whose initialization (Section 4) keeps every
+// decided node (the one-round clean-up finds nothing to repair on an
+// extendable partial solution) and whose measure-uniform part extends the
+// residual — then decodes and verifies the output. The recovery cost is the
+// degradation metric: rounds proportional to the damage, not to the graph.
+// RunRecovered (a faulted run healed in place) and the dynamic session's
+// degradation ladder both heal through Extend.
 package heal
 
 import (
@@ -82,7 +84,7 @@ func CarveMIS(g *graph.Graph, out []int) (partial []int, residual []int) {
 			partial[v] = verify.Undecided
 		}
 	}
-	return partial, residualOf(partial)
+	return partial, Residual(partial)
 }
 
 // CarveMatching reduces a damaged matching output vector (partner
@@ -140,7 +142,7 @@ func CarveMatching(g *graph.Graph, out []int) (partial []int, residual []int) {
 			}
 		}
 	}
-	return partial, residualOf(partial)
+	return partial, Residual(partial)
 }
 
 // CarveVColor reduces a damaged (Δ+1)-coloring output vector to a proper
@@ -171,10 +173,11 @@ func CarveVColor(g *graph.Graph, out []int) (partial []int, residual []int) {
 	for _, v := range demote {
 		partial[v] = verify.Undecided
 	}
-	return partial, residualOf(partial)
+	return partial, Residual(partial)
 }
 
-func residualOf(partial []int) []int {
+// Residual lists the node indices a partial solution leaves undecided.
+func Residual(partial []int) []int {
 	var res []int
 	for v, p := range partial {
 		if p == verify.Undecided {
@@ -184,7 +187,20 @@ func residualOf(partial []int) []int {
 	return res
 }
 
-// Spec describes one problem's recovery machinery for RunRecovered.
+// CarveEvent is the trace record of one carve: Value is the residual (nodes
+// left undecided), Aux how many decided entries of out the carve demoted.
+func CarveEvent(out, partial, residual []int) obs.Event {
+	demoted := 0
+	for i, p := range partial {
+		if p == verify.Undecided && i < len(out) && out[i] != verify.Undecided {
+			demoted++
+		}
+	}
+	return obs.Event{Type: obs.EvCarve, Value: int64(len(residual)), Aux: int64(demoted)}
+}
+
+// Spec describes one problem's recovery machinery for RunRecovered and
+// Extend.
 type Spec struct {
 	// Verify accepts a complete output vector iff it is a valid solution.
 	Verify func(g *graph.Graph, out []int) error
@@ -198,15 +214,56 @@ type Spec struct {
 	// UndecidedPred is the prediction value standing in for an undecided
 	// node in the healing run (the problem's "no prediction" value).
 	UndecidedPred int
-	// HealMaxRounds caps the healing run (0 = engine default).
-	HealMaxRounds int
+}
+
+// Extend is the one healing run: it hands the partial solution to the
+// problem's Simple Template as predictions (undecided nodes predict
+// spec.UndecidedPred), runs it under cfg's engine settings, and decodes and
+// verifies the output. cfg's Factory and Predictions are replaced. The
+// result is nil when the run failed and non-nil when it completed, so a
+// caller can tell an aborted run from an invalid output and still account
+// the completed run's rounds.
+func Extend(cfg runtime.Config, spec Spec, partial []int) ([]int, *runtime.Result, error) {
+	preds := make([]any, len(partial))
+	for i, p := range partial {
+		if p == verify.Undecided {
+			preds[i] = spec.UndecidedPred
+		} else {
+			preds[i] = p
+		}
+	}
+	cfg.Factory = spec.HealFactory
+	cfg.Predictions = preds
+	res, err := runtime.Run(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := decode(res.Outputs)
+	if err := spec.Verify(cfg.Graph, out); err != nil {
+		return nil, res, err
+	}
+	return out, res, nil
+}
+
+// decode reads an engine output vector as ints; anything else is undecided.
+func decode(raw []any) []int {
+	out := make([]int, len(raw))
+	for i, o := range raw {
+		out[i] = verify.Undecided
+		if v, ok := o.(int); ok {
+			out[i] = v
+		}
+	}
+	return out
 }
 
 // Report is the outcome of RunRecovered.
 type Report struct {
-	// PrimaryErr is the primary run's error, if it aborted (contained
-	// panic, round deadline, no termination, protocol violation). The
-	// recovery then proceeds from the last observed outputs.
+	// PrimaryErr is the primary run's error when it aborted — a contained
+	// machine panic, a round-deadline hit, no termination, or a protocol
+	// violation (e.g. corrupted payloads rejected by a template machine).
+	// Recovery then proceeded from the last observed outputs. Nil when the
+	// primary run completed.
 	PrimaryErr error
 	// PrimaryRounds is the last round the primary run executed; equal to
 	// the primary Result's Rounds when it completed.
@@ -219,13 +276,14 @@ type Report struct {
 	// Healed reports that a healing run executed and its output verified.
 	Healed bool
 	// Residual is the number of undecided nodes after carving — the size of
-	// the re-solved subproblem.
+	// the re-solved subproblem (0 when Valid).
 	Residual int
 	// RecoveryRounds and RecoveryMessages are the healing run's cost — the
 	// degradation metric (0 when Valid).
 	RecoveryRounds   int
 	RecoveryMessages int
-	// Output is the final, verified output vector.
+	// Output is the final verified output vector: MIS bits, partner
+	// identifiers, or colors, by node index.
 	Output []int
 }
 
@@ -235,12 +293,12 @@ func (r *Report) TotalRounds() int { return r.PrimaryRounds + r.RecoveryRounds }
 
 // RunRecovered executes cfg, validates its outputs with spec.Verify, and on
 // any damage — an invalid solution, or an aborted run — carves the last
-// observed outputs into an extendable partial solution and re-runs the
-// problem's Simple Template over it to heal. Crashed nodes are treated as
-// recovered in the healing run (chaos is transient): the healed solution
-// covers the whole graph. Config errors (a run that never started) are
-// returned as-is; a healing run that itself fails or produces an invalid
-// solution is an error.
+// observed outputs into an extendable partial solution and Extends it to
+// heal. The healing run keeps cfg's engine mode, trace and telemetry but
+// none of its faults or caps: crashed nodes are treated as recovered (chaos
+// is transient), so the healed solution covers the whole graph. Config
+// errors (a run that never started) are returned as-is; a healing run that
+// itself fails or produces an invalid solution is an error.
 func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 	g := cfg.Graph
 	if g == nil {
@@ -281,13 +339,7 @@ func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 		report.PrimaryRounds = res.Rounds
 		report.PrimaryMessages = res.Messages
 	}
-	outs := make([]int, n)
-	for i := 0; i < n; i++ {
-		outs[i] = verify.Undecided
-		if v, ok := raw[i].(int); ok {
-			outs[i] = v
-		}
-	}
+	outs := decode(raw)
 	if err == nil && spec.Verify(g, outs) == nil {
 		report.Valid = true
 		report.Output = outs
@@ -299,47 +351,22 @@ func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 	partial, residual := spec.Carve(g, outs)
 	report.Residual = len(residual)
 	if tr != nil {
-		// Carve stats: Value = residual (nodes left undecided), Aux = how
-		// many previously decided outputs the carve demoted.
-		demoted := 0
-		for i := 0; i < n; i++ {
-			if outs[i] != verify.Undecided && partial[i] == verify.Undecided {
-				demoted++
-			}
-		}
-		tr.Emit(obs.Event{Type: obs.EvCarve, Value: int64(len(residual)), Aux: int64(demoted)})
+		tr.Emit(CarveEvent(outs, partial, residual))
 		tr.Emit(obs.Event{Type: obs.EvPhase, Name: "recovery"})
 	}
-	preds := make([]any, n)
-	for i, p := range partial {
-		if p == verify.Undecided {
-			preds[i] = spec.UndecidedPred
-		} else {
-			preds[i] = p
+	healed, healRes, err := Extend(runtime.Config{
+		Graph:     g,
+		Parallel:  cfg.Parallel,
+		Shards:    cfg.Shards,
+		Partition: cfg.Partition,
+		Trace:     tr,
+		Telemetry: cfg.Telemetry,
+	}, spec, partial)
+	if err != nil {
+		if healRes == nil {
+			return nil, fmt.Errorf("heal: recovery run failed: %w", err)
 		}
-	}
-	healRes, healErr := runtime.Run(runtime.Config{
-		Graph:       g,
-		Factory:     spec.HealFactory,
-		Predictions: preds,
-		Parallel:    cfg.Parallel,
-		Shards:      cfg.Shards,
-		Partition:   cfg.Partition,
-		MaxRounds:   spec.HealMaxRounds,
-		Trace:       tr,
-	})
-	if healErr != nil {
-		return nil, fmt.Errorf("heal: recovery run failed: %w", healErr)
-	}
-	healed := make([]int, n)
-	for i := 0; i < n; i++ {
-		healed[i] = verify.Undecided
-		if v, ok := healRes.Outputs[i].(int); ok {
-			healed[i] = v
-		}
-	}
-	if verr := spec.Verify(g, healed); verr != nil {
-		return nil, fmt.Errorf("heal: recovery produced an invalid solution: %w", verr)
+		return nil, fmt.Errorf("heal: recovery produced an invalid solution: %w", err)
 	}
 	report.Healed = true
 	report.RecoveryRounds = healRes.Rounds

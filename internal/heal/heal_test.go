@@ -1,6 +1,7 @@
 package heal_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -235,5 +236,38 @@ func TestRunRecoveredConfigError(t *testing.T) {
 	}, misSpec())
 	if err == nil {
 		t.Fatal("config error swallowed by recovery")
+	}
+}
+
+// TestExtendResultContract: Extend keeps every decided node of an
+// extendable partial MIS and verifies the extension; its result is nil when
+// the run failed (here, a round cap too small to finish) and non-nil when
+// the run completed but the output did not verify.
+func TestExtendResultContract(t *testing.T) {
+	g := graph.GNP(40, 0.1, rand.New(rand.NewSource(3)))
+	good := make([]int, g.N())
+	for i := range good {
+		good[i] = verify.Undecided
+	}
+	good[0] = 1
+	for _, u := range g.Neighbors(0) {
+		good[u] = 0
+	}
+	out, res, err := heal.Extend(runtime.Config{Graph: g}, misSpec(), good)
+	if err != nil || res == nil {
+		t.Fatalf("Extend: res=%v err=%v", res, err)
+	}
+	if verify.MIS(g, out) != nil || out[0] != 1 {
+		t.Fatalf("extension %v is not a valid MIS keeping node 0", out)
+	}
+
+	if _, res, err := heal.Extend(runtime.Config{Graph: g, MaxRounds: 1}, misSpec(), good); err == nil || res != nil {
+		t.Fatalf("capped run: res=%v err=%v, want a failed run with nil result", res, err)
+	}
+
+	reject := misSpec()
+	reject.Verify = func(*graph.Graph, []int) error { return errors.New("rejected") }
+	if _, res, err := heal.Extend(runtime.Config{Graph: g}, reject, good); err == nil || res == nil {
+		t.Fatalf("rejected output: res=%v err=%v, want a completed run with an error", res, err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // SpecFor assembles the engine-level healing Spec from a descriptor's
 // registered recovery machinery: the carved partial solution is extended by
-// the registered healing algorithm's Simple Template (the problem's own
-// "simple" variant unless the descriptor redirects, as the tree problem does
-// to the general MIS template). It is the one resolution path shared by the
+// the "simple" variant — the Simple Template — of the healing problem: the
+// problem itself unless the descriptor redirects, as the tree problem does
+// to the general MIS template. It is the one resolution path shared by the
 // registry run helpers and the dynamic session supervisor, so the two always
 // agree on what "healing problem X" means.
 func SpecFor(d *problem.Descriptor) (Spec, error) {
@@ -25,15 +25,11 @@ func SpecFor(d *problem.Descriptor) (Spec, error) {
 	if healProblem == "" {
 		healProblem = d.Name
 	}
-	healAlg := h.HealAlg
-	if healAlg == "" {
-		healAlg = "simple"
-	}
 	hd, err := problem.Get(healProblem)
 	if err != nil {
 		return Spec{}, fmt.Errorf("heal: resolve healing problem: %w", err)
 	}
-	a, err := hd.Algorithm(healAlg)
+	a, err := hd.Algorithm("simple")
 	if err != nil {
 		return Spec{}, fmt.Errorf("heal: resolve healing algorithm: %w", err)
 	}
@@ -60,7 +56,7 @@ func WidenCarve(g *graph.Graph, partial []int, hops int, carve func(*graph.Graph
 	n := g.N()
 	next := make([]int, n)
 	copy(next, partial)
-	frontier := residualOf(partial)
+	frontier := Residual(partial)
 	seen := make([]bool, n)
 	for _, v := range frontier {
 		seen[v] = true

@@ -94,11 +94,11 @@ type Heal struct {
 	// UndecidedPred is the prediction value standing in for an undecided
 	// node in the healing run (the problem's "no prediction" value).
 	UndecidedPred int
-	// HealProblem and HealAlg name the registered algorithm whose Simple
-	// Template extends the carved partial solution. Empty values default to
-	// this problem's "simple" algorithm; the tree problem heals through the
-	// general MIS template.
-	HealProblem, HealAlg string
+	// HealProblem names the registered problem whose "simple" algorithm —
+	// the Simple Template — extends the carved partial solution. Empty
+	// means this problem; the tree problem heals through the general MIS
+	// template.
+	HealProblem string
 }
 
 // Descriptor is one problem's registration: identity, codecs, validation,

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +193,39 @@ func TestRoundDeadlinePublic(t *testing.T) {
 	}
 	if res.Run.Rounds <= 0 {
 		t.Fatal("no rounds")
+	}
+}
+
+// TestRecoveryTelemetryCoversHealingRun: Options.Telemetry observes the
+// healing run as well as the primary one, so on a run whose primary
+// completes with an invalid output the round histogram counts exactly
+// PrimaryRounds + RecoveryRounds rounds.
+func TestRecoveryTelemetryCoversHealingRun(t *testing.T) {
+	g := repro.GNP(90, 0.07, repro.NewRand(31))
+	preds, err := repro.GeneratePreds("mis", g, 12, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := repro.NewTelemetry(nil)
+	res, err := repro.RunProblemWithRecovery(g, "mis", preds, repro.Options{
+		MaxRounds: 80,
+		Telemetry: tel,
+		Adversary: repro.NewChaos(repro.ChaosPolicy{Seed: 33, LinkFail: 0.1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PrimaryErr != nil || res.Valid || !res.Healed {
+		t.Fatalf("want a completed primary with an invalid output, got %+v", res)
+	}
+	rounds := uint64(0)
+	for _, h := range tel.Registry().Snapshot().Histograms {
+		if strings.HasPrefix(h.Name, `dgp_round_seconds{phase="round"`) {
+			rounds += h.Count
+		}
+	}
+	if want := uint64(res.PrimaryRounds + res.RecoveryRounds); rounds != want {
+		t.Fatalf("round histogram counts %d rounds, want primary %d + recovery %d",
+			rounds, res.PrimaryRounds, res.RecoveryRounds)
 	}
 }

@@ -221,15 +221,15 @@ func runGeneric(g *Graph, d *problem.Descriptor, alg string, factory runtime.Fac
 	}
 	traceRunMeta(d, alg, g, aux, preds, opts)
 	if opts.Recover {
-		spec, err := healSpecFor(d)
+		spec, err := heal.SpecFor(d)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repro: %w", err)
 		}
 		rr, err := runRecovered(g, factory, encoded, opts, spec)
 		if err != nil {
 			return nil, err
 		}
-		return &ProblemResult{Run: rr.asResult(), Output: rr.Output, Recovery: rr}, nil
+		return &ProblemResult{Run: asResult(rr), Output: rr.Output, Recovery: rr}, nil
 	}
 	raw, err := runAndCollect(g, factory, encoded, opts)
 	if err != nil {
@@ -262,17 +262,6 @@ func traceRunMeta(d *problem.Descriptor, alg string, g *Graph, aux any, preds an
 	if summary, err := d.Errors(g, aux, preds); err == nil {
 		opts.Trace.Emit(obs.Event{Type: obs.EvEta, Name: "input", Text: summary})
 	}
-}
-
-// healSpecFor resolves a descriptor's registered recovery machinery into the
-// engine-level healing spec. The resolution itself lives in heal.SpecFor so
-// the registry run helpers and the dynamic session supervisor share it.
-func healSpecFor(d *problem.Descriptor) (heal.Spec, error) {
-	spec, err := heal.SpecFor(d)
-	if err != nil {
-		return heal.Spec{}, fmt.Errorf("repro: %w", err)
-	}
-	return spec, nil
 }
 
 // RunProblemWithRecovery executes the problem's Simple Template on g under

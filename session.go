@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"time"
-
 	"repro/internal/dynamic"
 	"repro/internal/runtime/fault"
 )
@@ -25,6 +23,16 @@ type (
 	StreamPolicy = fault.StreamPolicy
 	// StreamStats counts the perturbations a stream plan contained.
 	StreamStats = fault.StreamStats
+	// SessionOptions configures a dynamic session: engine mode, the
+	// degradation ladder's length and per-attempt envelope, the per-attempt
+	// fault adversary, and the trace and telemetry sinks.
+	SessionOptions = dynamic.Options
+	// Session owns a mutable graph and a continuously valid solution on it.
+	// Batched edge updates applied between runs are absorbed by
+	// self-healing: the previous output is re-encoded as the next run's
+	// prediction, so recovery rounds scale with the damage of the batch,
+	// not with the graph. Not safe for concurrent use.
+	Session = dynamic.Session
 )
 
 // Edge-update kinds.
@@ -38,81 +46,13 @@ const (
 // ErrSessionClosed is returned by operations on a closed session.
 var ErrSessionClosed = dynamic.ErrClosed
 
-// SessionOptions configures a dynamic session.
-type SessionOptions struct {
-	// Parallel selects the worker-pool engine for every run in the session.
-	Parallel bool
-	// MaxRetries bounds the degradation ladder (0 = default 2: one widening
-	// rung, then a from-scratch re-run).
-	MaxRetries int
-	// StepMaxRounds caps each incremental attempt's rounds (0 = engine
-	// default); the final from-scratch rung always runs uncapped.
-	StepMaxRounds int
-	// StepDeadline bounds each incremental attempt's per-round wall time.
-	StepDeadline time.Duration
-	// Adversary, when non-nil, supplies the fault adversary for incremental
-	// attempt `attempt` of step `step`; return nil for a fault-free attempt.
-	Adversary func(step, attempt int) Adversary
-	// Trace, when non-nil, records session lifecycle, update, retry, and
-	// engine events.
-	Trace *TraceRecorder
-	// Telemetry, when non-nil, records per-phase round wall-time histograms
-	// for every engine run the session executes; see Options.Telemetry.
-	Telemetry *Telemetry
-}
-
-// Session owns a mutable graph and a continuously valid solution on it.
-// Batched edge updates applied between runs are absorbed by self-healing:
-// the previous output is re-encoded as the next run's prediction, so
-// recovery rounds scale with the damage of the batch, not with the graph.
-// Not safe for concurrent use.
-type Session struct {
-	s *dynamic.Session
-}
-
 // NewSession opens a dynamic session for a registered problem on g, running
 // the problem's Simple Template prediction-free for the initial valid
 // output. Supported for every problem with healing machinery
 // (ProblemInfo.CanHeal): MIS, matching, vertex coloring, and tree MIS.
 func NewSession(g *Graph, problemName string, opts SessionOptions) (*Session, error) {
-	s, err := dynamic.Open(g, dynamic.Config{
-		Problem:       problemName,
-		Parallel:      opts.Parallel,
-		MaxRetries:    opts.MaxRetries,
-		StepMaxRounds: opts.StepMaxRounds,
-		StepDeadline:  opts.StepDeadline,
-		Adversary:     opts.Adversary,
-		Trace:         opts.Trace,
-		Telemetry:     opts.Telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s}, nil
+	return dynamic.Open(g, problemName, opts)
 }
-
-// Apply delivers one batch: deduplicate, patch the graph, heal the output.
-// Malformed batches are rejected and skipped (see SessionStep.Outcome); only
-// a failed from-scratch rung or a misconfiguration is an error.
-func (s *Session) Apply(b UpdateBatch) (SessionStep, error) { return s.s.Apply(b) }
-
-// ApplyStream delivers batches under the stream-chaos policy's seeded plan
-// (nil delivers the stream verbatim). Reports are in delivery order.
-func (s *Session) ApplyStream(batches []UpdateBatch, sp *StreamPolicy) ([]SessionStep, StreamStats, error) {
-	return s.s.ApplyStream(batches, sp)
-}
-
-// Graph returns the session's current (immutable) graph.
-func (s *Session) Graph() *Graph { return s.s.Graph() }
-
-// Output returns a copy of the current valid output vector.
-func (s *Session) Output() []int { return s.s.Output() }
-
-// Stats returns the session's lifetime counters so far.
-func (s *Session) Stats() SessionStats { return s.s.Stats() }
-
-// Close ends the session and returns the final counters.
-func (s *Session) Close() SessionStats { return s.s.Close() }
 
 // SessionReport is the outcome of RunSession.
 type SessionReport struct {
