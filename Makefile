@@ -62,9 +62,12 @@ trace-golden:
 
 # Disabled tracing must stay near-zero-cost: the steady-state allocation
 # budget test fails if the per-round allocation count regresses (0
-# allocs/round on every engine mode since the columnar rewrite).
+# allocs/round on every engine mode since the columnar rewrite), and the
+# whole-run template budget fails if a Simple Template solve starts to
+# allocate per node again.
 alloc-guard:
 	$(GO) test -run 'TestSteadyStateAllocBudget' -count=1 -v ./internal/runtime/
+	$(GO) test -run 'TestTemplateAllocBudget' -count=1 -v .
 
 # The 100k-node scale sweep on both engines — a fast end-to-end smoke of
 # the columnar hot path (CSR build, arena inboxes, frontier compaction).

@@ -57,6 +57,20 @@ func build(to int) []Out {
 	return outs
 }
 
+// memory holds payloads a node broadcasts by pointer, so a large field is
+// not boxed per message: a pointer to a sized field is sized, a pointer to
+// an unsized one is not.
+type memory struct {
+	announce sized
+	raw      unsized
+}
+
+func broadcastFields(c *Ctx, m *memory) []Out {
+	outs := c.Broadcast(&m.announce)
+	outs = append(outs, c.BroadcastActive(nil, &m.raw)...) // want `payload type \*unsized does not implement BitSized`
+	return outs
+}
+
 // forward re-sends an interface-typed payload: checked where the concrete
 // value was built, not here.
 func forward(to int, p any) Out {

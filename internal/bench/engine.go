@@ -33,7 +33,9 @@ const (
 // floodMachine broadcasts a fixed payload for floodRounds rounds and then
 // terminates with the number of messages heard. Machines live in one slab
 // and the outbox is engine-owned (Env.Broadcast), so a run's machine-side
-// allocations are O(1), not O(n).
+// allocations are O(1), not O(n). The output is a pointer to the slab's
+// count rather than the count itself: an int of 256 or more — a BA hub's —
+// would be boxed on the heap.
 type floodMachine struct {
 	heard int
 }
@@ -44,7 +46,7 @@ func (floodPayload) Bits() int { return 8 }
 
 func (m *floodMachine) Send(env *runtime.Env) []runtime.Out {
 	if env.Round() > floodRounds {
-		env.Output(m.heard)
+		env.Output(&m.heard)
 		env.Terminate()
 		return nil
 	}

@@ -243,7 +243,7 @@ func addBWRow(t *Table, name string, g *graph.Graph, preds []int) {
 	eta1 := predict.Eta1(comps)
 	etaBW := predict.EtaBW(g, preds, active)
 	resG := solve(g, "mis", mis.SimpleBase(), preds)
-	resBW := solve(g, "mis", core.Sequence(mis.NewMemory, mis.Base(), mis.BWGreedy(0)), preds)
+	resBW := solve(g, "mis", core.Sequence(mis.NewMemory(), mis.Base(), mis.BWGreedy(0)), preds)
 	resInit := solve(g, "mis", mis.SimpleGreedy(), preds)
 	t.AddRow(name, g.N(), eta1, etaBW, resG.Rounds, resBW.Rounds, resInit.Rounds)
 }

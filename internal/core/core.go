@@ -16,6 +16,13 @@
 // A per-node shared memory (created once per node, visible to every stage of
 // that node) carries the knowledge the paper assumes persists across stages,
 // such as which neighbors have terminated with which outputs.
+//
+// Per-node state comes from per-run slabs (NodeSlab): Sequence and
+// Consecutive carve every node's machine and outbox, and the mis and
+// matching memory factories every node's memory and neighbor tables, from
+// a few allocations made when the engine builds node 0 and released with
+// the run's machines. A template factory therefore serves one run at a
+// time, and runs in sequence may share it.
 package core
 
 import (
@@ -150,9 +157,10 @@ func (c *StageCtx) BroadcastActive(done NbrTable, payload any) []runtime.Out {
 	return ob
 }
 
-// reserve returns the outbox with room for n messages, allocating it — once
-// per node and stage context in steady state — at the node's degree or n,
-// whichever is larger.
+// reserve returns the outbox with room for n messages. Sequence machines
+// start with a degree-sized outbox carved from the run's slab; other
+// contexts allocate theirs here — once per node and stage context in steady
+// state — at the node's degree or n, whichever is larger.
 func (c *StageCtx) reserve(n int) []runtime.Out {
 	if cap(c.outbox) < n {
 		c.outbox = make([]runtime.Out, 0, max(n, c.env.Info().Degree()))

@@ -11,27 +11,32 @@ import "slices"
 // A NbrTable is a view: copies share their entries, so a memory struct can
 // hold it by value.
 type NbrTable struct {
-	ids  []int
-	vals []int
-	// has is the presence bitset, bit k of word k/64 for slot k. Keeping
-	// presence beside the value lets every int — math.MinInt included —
-	// round-trip through Set and Get.
-	has []int
+	ids []int
+	// buf holds one value per slot followed by the presence bitset: bit k
+	// of word buf[len(ids)+k/64] for slot k. Keeping presence beside the
+	// value lets every int — math.MinInt included — round-trip through Set
+	// and Get, and one slice header for both keeps the table small.
+	buf []int
 }
 
 // NewNbrTables points every table at ids (a node's NeighborIDs, which the
 // tables share rather than copy) with all entries absent. The tables'
 // values and presence bits share one backing allocation.
 func NewNbrTables(ids []int, tables ...*NbrTable) {
-	d, w := len(ids), (len(ids)+63)/64
-	buf := make([]int, (d+w)*len(tables))
-	bits := buf[d*len(tables):]
+	CarveNbrTables(make([]int, NbrTablesSize(len(ids), len(tables))), ids, tables...)
+}
+
+// NbrTablesSize is the number of ints that k tables over d neighbors keep
+// their values and presence bits in.
+func NbrTablesSize(d, k int) int { return (d + (d+63)/64) * k }
+
+// CarveNbrTables is NewNbrTables over a caller-provided buffer — for
+// instance one carved from a per-run NodeSlab — of exactly
+// NbrTablesSize(len(ids), len(tables)) zeroed ints.
+func CarveNbrTables(buf, ids []int, tables ...*NbrTable) {
+	per := NbrTablesSize(len(ids), 1)
 	for k, t := range tables {
-		*t = NbrTable{
-			ids:  ids,
-			vals: buf[k*d : (k+1)*d : (k+1)*d],
-			has:  bits[k*w : (k+1)*w : (k+1)*w],
-		}
+		*t = NbrTable{ids: ids, buf: buf[k*per : (k+1)*per : (k+1)*per]}
 	}
 }
 
@@ -39,8 +44,8 @@ func NewNbrTables(ids []int, tables ...*NbrTable) {
 // slot and are ignored; messages only ever arrive from neighbors.
 func (t NbrTable) Set(id, v int) {
 	if k, ok := slices.BinarySearch(t.ids, id); ok {
-		t.vals[k] = v
-		t.has[k/64] |= 1 << (k % 64)
+		t.buf[k] = v
+		t.buf[len(t.ids)+k/64] |= 1 << (k % 64)
 	}
 }
 
@@ -59,20 +64,23 @@ func (t NbrTable) Has(id int) bool {
 	return ok
 }
 
+// Len returns the number of slots: the node's degree.
+func (t NbrTable) Len() int { return len(t.ids) }
+
 // At returns the entry of the neighbor at position k of NeighborIDs and
 // whether it is present.
 func (t NbrTable) At(k int) (int, bool) {
 	if t.present(k) {
-		return t.vals[k], true
+		return t.buf[k], true
 	}
 	return 0, false
 }
 
-func (t NbrTable) present(k int) bool { return t.has[k/64]>>(k%64)&1 == 1 }
+func (t NbrTable) present(k int) bool { return t.buf[len(t.ids)+k/64]>>(k%64)&1 == 1 }
 
 // Contains reports whether some present entry equals v.
 func (t NbrTable) Contains(v int) bool {
-	for k, x := range t.vals {
+	for k, x := range t.buf[:len(t.ids)] {
 		if x == v && t.present(k) {
 			return true
 		}
@@ -83,8 +91,8 @@ func (t NbrTable) Contains(v int) bool {
 // Values returns the present entries in neighbor order, in a new slice the
 // caller may keep.
 func (t NbrTable) Values() []int {
-	out := make([]int, 0, len(t.vals))
-	for k, v := range t.vals {
+	out := make([]int, 0, len(t.ids))
+	for k, v := range t.buf[:len(t.ids)] {
 		if t.present(k) {
 			out = append(out, v)
 		}

@@ -15,16 +15,28 @@ import (
 //
 // The Simple Template (paper Algorithm 2) is Sequence(mem, B, R); the
 // Consecutive Template (Algorithm 3) is Sequence(mem, B, U(budget), C, R).
+//
+// The nodes' sequence machines and degree-sized outboxes are carved from a
+// per-run slab (NodeSlab), so the factory serves one run at a time.
 func Sequence(mem MemoryFactory, stages ...Stage) runtime.Factory {
+	var slab NodeSlab[seqMachine, runtime.Out]
 	return func(info runtime.NodeInfo, pred any) runtime.Machine {
-		var m any
-		if mem != nil {
-			m = mem(info, pred)
-		}
-		sm := &seqMachine{info: info, pred: pred, mem: m, stages: stages}
-		sm.enter(0)
-		return sm
+		return newSeqMachine(&slab, mem, stages, info, pred)
 	}
+}
+
+// newSeqMachine builds node info's sequence machine over stages from slab,
+// with its shared memory from mem, and enters the first stage.
+func newSeqMachine(slab *NodeSlab[seqMachine, runtime.Out], mem MemoryFactory, stages []Stage, info runtime.NodeInfo, pred any) *seqMachine {
+	var m any
+	if mem != nil {
+		m = mem(info, pred)
+	}
+	sm, outbox := slab.Take(info, info.Degree())
+	*sm = seqMachine{info: info, pred: pred, mem: m, stages: stages}
+	sm.ctx.outbox = outbox[:0]
+	sm.enter(0)
+	return sm
 }
 
 type seqMachine struct {

@@ -29,7 +29,9 @@ type ConsecutiveSpec struct {
 	U func(budget int) Stage
 	// Budget computes the measure-uniform budget r(n, Δ, d) + c'(n, Δ, d)
 	// from static information (all nodes compute the same value, as the
-	// paper requires).
+	// paper requires). A budget that aligns to 0 or less runs no
+	// measure-uniform stage and no clean-up: initialization, then the
+	// reference.
 	Budget func(info runtime.NodeInfo) int
 	// Align rounds the budget up to a multiple (a group boundary), so the
 	// interruption point carries an extendable partial solution: 2 for
@@ -47,18 +49,40 @@ type ConsecutiveSpec struct {
 
 // Consecutive composes the Consecutive Template from a spec. The budget is
 // evaluated per node from static information and aligned to the spec's group
-// boundary.
+// boundary; an aligned budget of 0 or less skips the measure-uniform and
+// clean-up stages. The stage list depends only on the budget and Ref(info),
+// so nodes that agree on both — with FixedRef, every node of a run — share
+// one list, and their machines come from the same per-run slab as
+// Sequence's.
 func Consecutive(spec ConsecutiveSpec) runtime.Factory {
+	var (
+		slab   NodeSlab[seqMachine, runtime.Out]
+		budget int
+		ref    []Stage
+		stages []Stage
+	)
 	return func(info runtime.NodeInfo, pred any) runtime.Machine {
-		budget := AlignUp(spec.Budget(info), spec.Align)
-		stages := make([]Stage, 0, 4)
-		stages = append(stages, spec.B, spec.U(budget))
-		if spec.C != nil {
-			stages = append(stages, *spec.C)
+		b, r := AlignUp(spec.Budget(info), spec.Align), spec.Ref(info)
+		if stages == nil || b != budget || !sameStages(r, ref) {
+			budget, ref = b, r
+			stages = make([]Stage, 0, 3+len(r))
+			stages = append(stages, spec.B)
+			if b > 0 {
+				stages = append(stages, spec.U(b))
+				if spec.C != nil {
+					stages = append(stages, *spec.C)
+				}
+			}
+			stages = append(stages, r...)
 		}
-		stages = append(stages, spec.Ref(info)...)
-		return Sequence(spec.Mem, stages...)(info, pred)
+		return newSeqMachine(&slab, spec.Mem, stages, info, pred)
 	}
+}
+
+// sameStages reports whether a and b are the same stage list: the same
+// backing array and length, as FixedRef returns on every call.
+func sameStages(a, b []Stage) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // FixedRef adapts a fixed stage list to ConsecutiveSpec.Ref.

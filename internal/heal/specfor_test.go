@@ -2,6 +2,7 @@ package heal_test
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -134,4 +135,48 @@ func TestWidenCarveDegenerateInputs(t *testing.T) {
 			t.Fatalf("decided singleton is not a valid MIS after widening: %v", err)
 		}
 	})
+}
+
+// TestSpecForFactoryServesRunAfterRun runs one healing factory value — as a
+// session does across its steps — on two different graphs back to back, and
+// on the first again: every run must equal a run through a fresh factory.
+// The template layer carves each run's node state from slabs made at node
+// 0, so a slab left over from the previous run must never leak into the
+// next.
+func TestSpecForFactoryServesRunAfterRun(t *testing.T) {
+	for _, name := range []string{"mis", "matching"} {
+		d, err := problem.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := heal.SpecFor(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		graphs := []*graph.Graph{graph.BarabasiAlbert(300, 3, rng), graph.Ring(121)}
+		graphs = append(graphs, graphs[0])
+		for i, g := range graphs {
+			preds, err := d.EncodePreds(d.Preds(g, nil, g.N()/10, int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := heal.SpecFor(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(f runtime.Factory) *runtime.Result {
+				res, err := runtime.Run(runtime.Config{Graph: g, Factory: f, Predictions: preds})
+				if err != nil {
+					t.Fatalf("%s run %d: %v", name, i, err)
+				}
+				return res
+			}
+			got, want := run(shared.HealFactory), run(fresh.HealFactory)
+			if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Rounds != want.Rounds || got.Messages != want.Messages {
+				t.Fatalf("%s run %d (n=%d): reused factory gave %d rounds %d msgs, fresh %d rounds %d msgs",
+					name, i, g.N(), got.Rounds, got.Messages, want.Rounds, want.Messages)
+			}
+		}
+	}
 }

@@ -18,23 +18,23 @@ func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
 
 // Solo runs a single matching stage as a complete algorithm.
 func Solo(stage core.Stage) runtime.Factory {
-	return core.Sequence(NewMemory, stage)
+	return core.Sequence(NewMemory(), stage)
 }
 
 // SimpleGreedy is the Simple Template for maximal matching: initialization
 // followed by the measure-uniform proposal algorithm.
 func SimpleGreedy() runtime.Factory {
-	return core.Simple(NewMemory, Init(), MeasureUniform(0))
+	return core.Simple(NewMemory(), Init(), MeasureUniform(0))
 }
 
 // SimpleBase is SimpleGreedy with the Base Algorithm as initialization.
 func SimpleBase() runtime.Factory {
-	return core.Simple(NewMemory, Base(), MeasureUniform(0))
+	return core.Simple(NewMemory(), Base(), MeasureUniform(0))
 }
 
 // SimpleCollect is the Simple Template with the collect-and-solve reference.
 func SimpleCollect() runtime.Factory {
-	return core.Simple(NewMemory, Init(), Collect())
+	return core.Simple(NewMemory(), Init(), Collect())
 }
 
 // ConsecutiveCollect is the Consecutive Template: initialization, the
@@ -43,7 +43,7 @@ func SimpleCollect() runtime.Factory {
 func ConsecutiveCollect() runtime.Factory {
 	cleanup := Cleanup()
 	return core.Consecutive(core.ConsecutiveSpec{
-		Mem:    NewMemory,
+		Mem:    NewMemory(),
 		B:      Init(),
 		U:      MeasureUniform,
 		Budget: func(info runtime.NodeInfo) int { return CollectBound(info) + 1 },

@@ -86,7 +86,7 @@ func (m *colorToMatchingMachine) Send(c *core.StageCtx) []runtime.Out {
 		return nil
 	default:
 		if m.partner != 0 {
-			outs := c.BroadcastActive(m.mem.NbrOut, matched{Partner: m.partner})
+			outs := c.BroadcastActive(m.mem.NbrOut, m.mem.announceMatch(m.partner))
 			c.Output(m.partner)
 			return outs
 		}
@@ -103,7 +103,7 @@ func (m *colorToMatchingMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) 
 			if msg.From == m.proposed {
 				m.partner = msg.From
 			}
-		case matched:
+		case *matched:
 			m.mem.NbrOut.Set(msg.From, p.Partner)
 		}
 	}
@@ -117,7 +117,7 @@ func (m *colorToMatchingMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) 
 func ParallelColoring() runtime.Factory {
 	cleanup := Cleanup()
 	return core.Parallel(core.ParallelSpec{
-		Mem: NewMemory,
+		Mem: NewMemory(),
 		B:   Init(),
 		U:   MeasureUniform(0).New,
 		R1:  EdgeColorPart1(),

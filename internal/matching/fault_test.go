@@ -21,7 +21,7 @@ func ecProbe() runtime.Factory {
 			return emitColors{mem: mem.(*matching.Memory)}
 		},
 	}
-	return core.Sequence(matching.NewMemory, part1, emit)
+	return core.Sequence(matching.NewMemory(), part1, emit)
 }
 
 type emitColors struct{ mem *matching.Memory }

@@ -1,6 +1,8 @@
 package matching
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/runtime"
 )
@@ -19,7 +21,9 @@ func MeasureUniform(budget int) core.Stage {
 		Name:   "matching/greedy",
 		Budget: budget,
 		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &greedyMachine{mem: mem.(*Memory)}
+			m := mem.(*Memory)
+			m.greedy = greedyMachine{}
+			return &m.greedy
 		},
 	}
 }
@@ -36,38 +40,40 @@ type accept struct{}
 // Bits sizes the message for CONGEST accounting.
 func (accept) Bits() int { return 1 }
 
+// greedyMachine lives in the node's Memory, which it reaches through the
+// stage context.
 type greedyMachine struct {
-	mem      *Memory
 	proposed int // neighbor we proposed to this group (0 = none)
 	chosen   int // proposer we accepted this group (0 = none)
 	partner  int // agreed partner (0 = none)
 }
 
 func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
+	mem := c.Memory().(*Memory)
 	info := c.Info()
 	switch (c.StageRound()-1)%3 + 1 {
 	case 1:
 		m.proposed, m.chosen, m.partner = 0, 0, 0
-		active := m.mem.ActiveNeighbors(info)
-		if len(active) == 0 {
+		first, last := mem.activeSpan()
+		if first < 0 {
 			c.Output(Unmatched)
 			return nil
 		}
-		for _, nb := range active {
-			if nb > info.ID {
-				return nil
-			}
+		if info.NeighborIDs[last] > info.ID {
+			return nil
 		}
-		m.proposed = active[0] // smallest active neighbor
-		return []runtime.Out{{To: m.proposed, Payload: propose{}}}
+		// Propose to the smallest active neighbor.
+		m.proposed = info.NeighborIDs[first]
+		return c.BroadcastTo(info.NeighborIDs[first:first+1], propose{})
 	case 2:
 		if m.chosen != 0 {
 			m.partner = m.chosen
-			return []runtime.Out{{To: m.chosen, Payload: accept{}}}
+			k, _ := slices.BinarySearch(info.NeighborIDs, m.chosen)
+			return c.BroadcastTo(info.NeighborIDs[k:k+1], accept{})
 		}
 	case 3:
 		if m.partner != 0 {
-			outs := c.BroadcastActive(m.mem.NbrOut, matched{Partner: m.partner})
+			outs := c.BroadcastActive(mem.NbrOut, mem.announceMatch(m.partner))
 			c.Output(m.partner)
 			return outs
 		}
@@ -76,6 +82,7 @@ func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
 }
 
 func (m *greedyMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	mem := c.Memory().(*Memory)
 	switch (c.StageRound()-1)%3 + 1 {
 	case 1:
 		for _, msg := range inbox {
@@ -91,8 +98,8 @@ func (m *greedyMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 			}
 		}
 	case 3:
-		m.mem.recordMatched(inbox)
-		if len(m.mem.ActiveNeighbors(c.Info())) == 0 {
+		mem.recordMatched(inbox)
+		if first, _ := mem.activeSpan(); first < 0 {
 			// No active neighbors remain; safe to leave unmatched (every
 			// neighbor is matched, so maximality is preserved).
 			c.Output(Unmatched)

@@ -29,17 +29,48 @@ type Memory struct {
 	// ID) stored by the fault-tolerant edge coloring when it serves as part
 	// 1 of the Parallel Template reference.
 	R1Colors map[int]int
+
+	// announce and match are the node's two partner-carrying payloads. A
+	// node broadcasts a pointer to them instead of boxing a partner
+	// identifier per message, so each is written once, before its first
+	// send, and never again: announce when the memory is made, match when
+	// the node terminates matched. A duplicated or late copy of the
+	// message therefore reads the same value.
+	announce predAnnounce
+	match    matched
+
+	// init and greedy are the node's initialization and measure-uniform
+	// stage machines, reset when the node enters the stage, so entering one
+	// allocates nothing. A node runs at most one stage of each kind at a
+	// time in every composition of this package.
+	init   initMachine
+	greedy greedyMachine
 }
 
-// NewMemory is the MemoryFactory for matching compositions.
-func NewMemory(info runtime.NodeInfo, pred any) any {
-	p := Unmatched
-	if v, ok := pred.(int); ok {
-		p = v
+// NewMemory returns the MemoryFactory for matching compositions; every
+// template builds its own. Each node's Memory and neighbor tables are carved
+// from a per-run slab (core.NodeSlab), so the factory serves one run at a
+// time.
+func NewMemory() core.MemoryFactory {
+	var slab core.NodeSlab[Memory, int]
+	return func(info runtime.NodeInfo, pred any) any {
+		m, buf := slab.Take(info, core.NbrTablesSize(info.Degree(), 2))
+		m.Pred = Unmatched
+		if v, ok := pred.(int); ok {
+			m.Pred = v
+		}
+		m.announce = predAnnounce{Partner: m.Pred}
+		core.CarveNbrTables(buf, info.NeighborIDs, &m.NbrPred, &m.NbrOut)
+		return m
 	}
-	m := &Memory{Pred: p}
-	core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrOut)
-	return m
+}
+
+// announceMatch records that the node terminates matched to partner and
+// returns the payload announcing it. Call it once, as the node outputs
+// partner.
+func (m *Memory) announceMatch(partner int) *matched {
+	m.match = matched{Partner: partner}
+	return &m.match
 }
 
 // LiveEdges implements linegraph.Host: the edges to still-active neighbors
@@ -56,6 +87,21 @@ func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
 	return m.NbrOut.Missing()
 }
 
+// activeSpan returns the first and last positions in NeighborIDs of the
+// neighbors not known to have terminated, or -1, -1 when there are none.
+func (m *Memory) activeSpan() (first, last int) {
+	first, last = -1, -1
+	for k := range m.NbrOut.Len() {
+		if _, gone := m.NbrOut.At(k); !gone {
+			if first < 0 {
+				first = k
+			}
+			last = k
+		}
+	}
+	return first, last
+}
+
 // allNeighborsMatched reports whether every neighbor has terminated with a
 // partner (so outputting ⊥ is safe and the partial solution stays
 // extendable).
@@ -69,13 +115,15 @@ func (m *Memory) allNeighborsMatched(info runtime.NodeInfo) bool {
 	return true
 }
 
-// predAnnounce carries the sender's predicted partner.
+// predAnnounce carries the sender's predicted partner. It is sent as a
+// pointer to the sender's Memory.announce.
 type predAnnounce struct{ Partner int }
 
 // Bits sizes the message for CONGEST accounting.
 func (predAnnounce) Bits() int { return 32 }
 
-// matched announces that the sender terminates matched to Partner.
+// matched announces that the sender terminates matched to Partner. It is
+// sent as a pointer to the sender's Memory.match.
 type matched struct{ Partner int }
 
 // Bits sizes the message for CONGEST accounting.
@@ -83,7 +131,7 @@ func (matched) Bits() int { return 32 }
 
 func (m *Memory) recordMatched(inbox []runtime.Msg) {
 	for _, msg := range inbox {
-		if mm, ok := msg.Payload.(matched); ok {
+		if mm, ok := msg.Payload.(*matched); ok {
 			m.NbrOut.Set(msg.From, mm.Partner)
 		}
 	}
@@ -106,25 +154,29 @@ func Init() core.Stage {
 
 func newInitLike(relaxed bool) core.StageFactory {
 	return func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-		return &initMachine{mem: mem.(*Memory), relaxed: relaxed}
+		m := mem.(*Memory)
+		m.init = initMachine{relaxed: relaxed}
+		return &m.init
 	}
 }
 
+// initMachine lives in the node's Memory, which it reaches through the
+// stage context.
 type initMachine struct {
-	mem     *Memory
 	relaxed bool
 }
 
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
+	mem := c.Memory().(*Memory)
 	switch c.StageRound() {
 	case 1:
-		return c.Broadcast(predAnnounce{Partner: m.mem.Pred})
+		return c.Broadcast(&mem.announce)
 	case 2:
-		p := m.mem.Pred
+		p := mem.Pred
 		// A mutual prediction: p is a neighbor that announced this node.
 		// Get reads 0 for ⊥, for this node and for any non-neighbor.
-		if back, _ := m.mem.NbrPred.Get(p); back == c.ID() {
-			outs := c.Broadcast(matched{Partner: p})
+		if back, _ := mem.NbrPred.Get(p); back == c.ID() {
+			outs := c.Broadcast(mem.announceMatch(p))
 			c.Output(p)
 			return outs
 		}
@@ -133,17 +185,18 @@ func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
 }
 
 func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	mem := c.Memory().(*Memory)
 	switch c.StageRound() {
 	case 1:
 		for _, msg := range inbox {
-			if pa, ok := msg.Payload.(predAnnounce); ok {
-				m.mem.NbrPred.Set(msg.From, pa.Partner)
+			if pa, ok := msg.Payload.(*predAnnounce); ok {
+				mem.NbrPred.Set(msg.From, pa.Partner)
 			}
 		}
 	case 2:
-		m.mem.recordMatched(inbox)
-		eligible := m.mem.Pred == Unmatched || m.relaxed
-		if eligible && m.mem.allNeighborsMatched(c.Info()) {
+		mem.recordMatched(inbox)
+		eligible := mem.Pred == Unmatched || m.relaxed
+		if eligible && mem.allNeighborsMatched(c.Info()) {
 			// All neighbors terminated matched; nobody needs a notification.
 			c.Output(Unmatched)
 			return
@@ -161,21 +214,24 @@ func Cleanup() core.Stage {
 		Name:   "matching/cleanup",
 		Budget: 1,
 		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &cleanupMachine{mem: mem.(*Memory)}
+			return cleanupMachine{}
 		},
 	}
 }
 
-type cleanupMachine struct{ mem *Memory }
+// cleanupMachine is stateless: it keeps everything in the node's Memory, so
+// the stage machine is a zero-size value and entering the stage allocates
+// nothing.
+type cleanupMachine struct{}
 
-func (m *cleanupMachine) Send(c *core.StageCtx) []runtime.Out {
-	if m.mem.allNeighborsMatched(c.Info()) {
+func (cleanupMachine) Send(c *core.StageCtx) []runtime.Out {
+	if c.Memory().(*Memory).allNeighborsMatched(c.Info()) {
 		c.Output(Unmatched)
 	}
 	return nil
 }
 
-func (m *cleanupMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	m.mem.recordMatched(inbox)
+func (cleanupMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	c.Memory().(*Memory).recordMatched(inbox)
 	c.Yield()
 }

@@ -26,38 +26,43 @@ func GreedyBudget(budget int) core.Stage {
 		Name:   "mis/greedy",
 		Budget: budget,
 		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &greedyMachine{mem: mem.(*Memory)}
+			m := mem.(*Memory)
+			m.greedy = greedyMachine{}
+			return &m.greedy
 		},
 	}
 }
 
+// greedyMachine lives in the node's Memory, which it reaches through the
+// stage context.
 type greedyMachine struct {
-	mem    *Memory
 	gotOne bool
 }
 
 func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
+	mem := c.Memory().(*Memory)
 	if c.StageRound()%2 == 1 {
 		// NeighborIDs ascend: scan the larger identifiers from the top for
 		// one still active.
 		ids := c.Info().NeighborIDs
 		for k := len(ids) - 1; k >= 0 && ids[k] > c.ID(); k-- {
-			if _, gone := m.mem.NbrOut.At(k); !gone {
+			if _, gone := mem.NbrOut.At(k); !gone {
 				return nil
 			}
 		}
-		return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
+		return c.BroadcastActive(mem.NbrOut, notifyThenOutput(c, 1))
 	}
 	if m.gotOne {
-		return notifyAndOutput(c, m.mem, 0)
+		return notifyAndOutput(c, mem, 0)
 	}
 	return nil
 }
 
 func (m *greedyMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	mem := c.Memory().(*Memory)
 	for _, msg := range inbox {
 		if nt, ok := msg.Payload.(notify); ok {
-			m.mem.NbrOut.Set(msg.From, nt.Bit)
+			mem.NbrOut.Set(msg.From, nt.Bit)
 			if nt.Bit == 1 {
 				m.gotOne = true
 			}

@@ -279,7 +279,7 @@ func TestInterruptAnywhereStaysValid(t *testing.T) {
 	g := graph.GNP(24, 0.15, rng)
 	preds := predict.FlipProb(predict.PerfectMIS(g), 0.5, rng)
 	for budget := 2; budget <= 16; budget += 2 {
-		factory := core.Sequence(mis.NewMemory,
+		factory := core.Sequence(mis.NewMemory(),
 			mis.Init(), mis.GreedyBudget(budget), mis.Cleanup(), mis.Collect())
 		runMIS(t, g, factory, preds, false)
 	}

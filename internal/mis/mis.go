@@ -28,17 +28,28 @@ type Memory struct {
 	NbrOut core.NbrTable
 	// Color and Palette are part 1's locally stored coloring result.
 	Color, Palette int
+
+	// init and greedy are the node's initialization and Greedy stage
+	// machines, reset when the node enters the stage, so entering one
+	// allocates nothing. A node runs at most one stage of each kind at a
+	// time in every composition of this package.
+	init   initMachine
+	greedy greedyMachine
 }
 
-// NewMemory is the MemoryFactory for all MIS compositions.
-func NewMemory(info runtime.NodeInfo, pred any) any {
-	bit := 0
-	if p, ok := pred.(int); ok {
-		bit = p
+// NewMemory returns the MemoryFactory for MIS compositions; every template
+// builds its own. Each node's Memory and neighbor tables are carved from a
+// per-run slab (core.NodeSlab), so the factory serves one run at a time.
+func NewMemory() core.MemoryFactory {
+	var slab core.NodeSlab[Memory, int]
+	return func(info runtime.NodeInfo, pred any) any {
+		m, buf := slab.Take(info, core.NbrTablesSize(info.Degree(), 2))
+		if p, ok := pred.(int); ok {
+			m.Pred = p
+		}
+		core.CarveNbrTables(buf, info.NeighborIDs, &m.NbrPred, &m.NbrOut)
+		return m
 	}
-	m := &Memory{Pred: bit}
-	core.NewNbrTables(info.NeighborIDs, &m.NbrPred, &m.NbrOut)
-	return m
 }
 
 // StoreColor implements the color store used by reference part 1.

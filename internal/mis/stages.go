@@ -27,62 +27,67 @@ func Init() core.Stage {
 // the Initialization Algorithm's larger independent set.
 func newInitLike(tieBreak bool) core.StageFactory {
 	return func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-		return &initMachine{mem: mem.(*Memory), tieBreak: tieBreak}
+		m := mem.(*Memory)
+		m.init = initMachine{tieBreak: tieBreak}
+		return &m.init
 	}
 }
 
+// initMachine lives in the node's Memory, which it reaches through the
+// stage context.
 type initMachine struct {
-	mem      *Memory
 	tieBreak bool
 	sawOne   bool
 }
 
 func (m *initMachine) Send(c *core.StageCtx) []runtime.Out {
+	mem := c.Memory().(*Memory)
 	switch c.StageRound() {
 	case 1:
-		return c.Broadcast(predMsg{Bit: m.mem.Pred})
+		return c.Broadcast(predMsg{Bit: mem.Pred})
 	case 2:
-		if m.inI(c.Info()) {
-			return notifyAndOutput(c, m.mem, 1)
+		if m.inI(c.Info(), mem) {
+			return notifyAndOutput(c, mem, 1)
 		}
 	case 3:
 		if m.sawOne {
-			return notifyAndOutput(c, m.mem, 0)
+			return notifyAndOutput(c, mem, 0)
 		}
 	}
 	return nil
 }
 
 func (m *initMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	mem := c.Memory().(*Memory)
 	switch c.StageRound() {
 	case 1:
 		for _, msg := range inbox {
 			if pm, ok := msg.Payload.(predMsg); ok {
-				m.mem.NbrPred.Set(msg.From, pm.Bit)
+				mem.NbrPred.Set(msg.From, pm.Bit)
 			}
 		}
 	case 2:
 		for _, msg := range inbox {
 			if nt, ok := msg.Payload.(notify); ok {
-				m.mem.NbrOut.Set(msg.From, nt.Bit)
+				mem.NbrOut.Set(msg.From, nt.Bit)
 				if nt.Bit == 1 {
 					m.sawOne = true
 				}
 			}
 		}
 	case 3:
-		recordNotifies(m.mem, inbox)
+		recordNotifies(mem, inbox)
 		c.Yield()
 	}
 }
 
 // inI decides membership in the initialization's independent set.
-func (m *initMachine) inI(info runtime.NodeInfo) bool {
-	if m.mem.Pred != 1 {
+func (m *initMachine) inI(info runtime.NodeInfo, mem *Memory) bool {
+	if mem.Pred != 1 {
 		return false
 	}
 	for k, nb := range info.NeighborIDs {
-		if p, _ := m.mem.NbrPred.At(k); p != 1 {
+		if p, _ := mem.NbrPred.At(k); p != 1 {
 			continue
 		}
 		if !m.tieBreak {
@@ -103,21 +108,24 @@ func Cleanup() core.Stage {
 		Name:   "mis/cleanup",
 		Budget: 1,
 		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &cleanupMachine{mem: mem.(*Memory)}
+			return cleanupMachine{}
 		},
 	}
 }
 
-type cleanupMachine struct{ mem *Memory }
+// cleanupMachine is stateless: it keeps everything in the node's Memory, so
+// the stage machine is a zero-size value and entering the stage allocates
+// nothing.
+type cleanupMachine struct{}
 
-func (m *cleanupMachine) Send(c *core.StageCtx) []runtime.Out {
-	if m.mem.hasOutNeighbor(1) {
-		return notifyAndOutput(c, m.mem, 0)
+func (cleanupMachine) Send(c *core.StageCtx) []runtime.Out {
+	if mem := c.Memory().(*Memory); mem.hasOutNeighbor(1) {
+		return notifyAndOutput(c, mem, 0)
 	}
 	return nil
 }
 
-func (m *cleanupMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	recordNotifies(m.mem, inbox)
+func (cleanupMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
+	recordNotifies(c.Memory().(*Memory), inbox)
 	c.Yield()
 }

@@ -10,38 +10,38 @@ import (
 // Solo runs a single MIS stage as a complete algorithm (used to measure the
 // measure-uniform algorithms on their own, without predictions).
 func Solo(stage core.Stage) runtime.Factory {
-	return core.Sequence(NewMemory, stage)
+	return core.Sequence(NewMemory(), stage)
 }
 
 // SimpleGreedy is the Simple Template (Observation 7) instantiated with the
 // MIS Initialization Algorithm and the Greedy MIS Algorithm: consistency 3,
 // round complexity at most η₁+3 (Lemma 1) and η₂+4 (Lemma 2).
 func SimpleGreedy() runtime.Factory {
-	return core.Simple(NewMemory, Init(), Greedy())
+	return core.Simple(NewMemory(), Init(), Greedy())
 }
 
 // SimpleBase is SimpleGreedy but starting from the Base Algorithm instead of
 // the Initialization Algorithm (for comparing initializations).
 func SimpleBase() runtime.Factory {
-	return core.Simple(NewMemory, Base(), Greedy())
+	return core.Simple(NewMemory(), Base(), Greedy())
 }
 
 // SimpleBW is the Section 9.1 algorithm: initialization followed by the
 // black/white alternating measure-uniform algorithm, whose round complexity
 // tracks η_bw rather than η₁.
 func SimpleBW() runtime.Factory {
-	return core.Simple(NewMemory, Init(), BWGreedy(0))
+	return core.Simple(NewMemory(), Init(), BWGreedy(0))
 }
 
 // SimpleLuby is the Section 10 discussion: Luby's randomized algorithm as
 // the reference of the Simple Template.
 func SimpleLuby(seed int64) runtime.Factory {
-	return core.Simple(NewMemory, Init(), Luby(seed))
+	return core.Simple(NewMemory(), Init(), Luby(seed))
 }
 
 // SimpleCollect is the Simple Template with the collect-and-solve reference.
 func SimpleCollect() runtime.Factory {
-	return core.Simple(NewMemory, Init(), Collect())
+	return core.Simple(NewMemory(), Init(), Collect())
 }
 
 // consecutiveSpec shares the MIS Consecutive Template wiring: initialization,
@@ -51,7 +51,7 @@ func SimpleCollect() runtime.Factory {
 func consecutiveSpec(budget func(runtime.NodeInfo) int, ref core.Stage) runtime.Factory {
 	cleanup := Cleanup()
 	return core.Consecutive(core.ConsecutiveSpec{
-		Mem:    NewMemory,
+		Mem:    NewMemory(),
 		B:      Init(),
 		U:      GreedyBudget,
 		Budget: budget,
@@ -89,23 +89,23 @@ func ConsecutiveDecomp(seed int64) runtime.Factory {
 // from online algorithms with predictions. λ = 0 skips the measure-uniform
 // stage entirely.
 func ConsecutiveTradeoff(lambda float64, seed int64) runtime.Factory {
-	return func(info runtime.NodeInfo, pred any) runtime.Machine {
-		budget := core.AlignUp(int(lambda*float64(info.N)), 2)
-		var seq runtime.Factory
-		if budget <= 0 {
-			seq = core.Simple(NewMemory, Init(), decomp.Stage(seed))
-		} else {
-			seq = core.Sequence(NewMemory, Init(), GreedyBudget(budget), Cleanup(), decomp.Stage(seed))
-		}
-		return seq(info, pred)
-	}
+	cleanup := Cleanup()
+	return core.Consecutive(core.ConsecutiveSpec{
+		Mem:    NewMemory(),
+		B:      Init(),
+		U:      GreedyBudget,
+		Budget: func(info runtime.NodeInfo) int { return int(lambda * float64(info.N)) },
+		Align:  2,
+		C:      &cleanup,
+		Ref:    core.FixedRef(decomp.Stage(seed)),
+	})
 }
 
 // InterleavedDecomp is the Interleaved Template (Lemma 9, Corollary 10):
 // initialization, then alternating slices of Greedy and the decomposition
 // reference, one reference phase per slice.
 func InterleavedDecomp(seed int64) runtime.Factory {
-	return core.Interleaved(NewMemory, Init(), Greedy().New, decomp.MISReference(seed), decomp.Schedule)
+	return core.Interleaved(NewMemory(), Init(), Greedy().New, decomp.MISReference(seed), decomp.Schedule)
 }
 
 // ParallelColoring is the Parallel Template instantiated per Corollary 12:
@@ -117,7 +117,7 @@ func InterleavedDecomp(seed int64) runtime.Factory {
 // is needed, exactly as in the corollary's proof.
 func ParallelColoring() runtime.Factory {
 	return core.Parallel(core.ParallelSpec{
-		Mem: NewMemory,
+		Mem: NewMemory(),
 		B:   Init(),
 		U:   Greedy().New,
 		R1:  vcolor.LinialPart1(),

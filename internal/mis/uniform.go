@@ -39,7 +39,7 @@ func Uniform() core.Stage {
 // complexity O(f(Δ') + log Δ'·log* d) where Δ' is the maximum degree inside
 // the error components (paper Section 7.1, second example).
 func SimpleUniform() runtime.Factory {
-	return core.Simple(NewMemory, Init(), Uniform())
+	return core.Simple(NewMemory(), Init(), Uniform())
 }
 
 // UniformMaxRounds returns a safe engine round cap for runs involving the

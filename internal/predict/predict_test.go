@@ -28,7 +28,7 @@ func TestMISBaseActiveMatchesEngine(t *testing.T) {
 		want := predict.MISBaseActive(g, preds)
 
 		var got []bool
-		factory := core.Sequence(mis.NewMemory, mis.Base(), sinkStage())
+		factory := core.Sequence(mis.NewMemory(), mis.Base(), sinkStage())
 		_, err := runtime.Run(runtime.Config{
 			Graph:       g,
 			Factory:     factory,
@@ -87,7 +87,7 @@ func TestMatchingBaseActiveMatchesEngine(t *testing.T) {
 		preds := predict.PerturbMatching(g, predict.PerfectMatching(g), 6, rng)
 		want := predict.MatchingBaseActive(g, preds)
 		var got []bool
-		factory := core.Sequence(matching.NewMemory, matching.Base(), sinkStage())
+		factory := core.Sequence(matching.NewMemory(), matching.Base(), sinkStage())
 		_, err := runtime.Run(runtime.Config{
 			Graph:       g,
 			Factory:     factory,

@@ -129,6 +129,12 @@ type Machine interface {
 
 // Factory creates the machine for one node, given its static information and
 // its prediction (nil when the algorithm takes no predictions).
+//
+// The engine calls a run's factory exactly once per node, in index order
+// (info.Index 0, 1, ..., N-1), on the goroutine that called Run, before
+// round 1 — on every engine mode, sharded or not. Factories may rely on
+// it: the template layer carves a run's per-node state from slabs made at
+// node 0 and released after node N-1 (core.NodeSlab).
 type Factory func(info NodeInfo, prediction any) Machine
 
 // Note is one machine-emitted trace annotation staged via Env.Annotate:
