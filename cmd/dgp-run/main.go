@@ -44,7 +44,7 @@ func run() error {
 		par      = flag.Bool("parallel", false, "use the goroutine engine")
 		shards   = flag.Int("shards", 0, "run the sharded engine with this many shards (0 = unsharded; results are identical for every value)")
 		show     = flag.Bool("show", false, "print the output vector")
-		progress = flag.Bool("progress", false, "print a per-round progress line (active node counts)")
+		progress = flag.Bool("progress", false, "print a progress line whenever the number of nodes active in a round changes")
 		traceOut = flag.String("trace", "", "write a JSONL event trace to this file ('-' = stdout); inspect with dgp-trace")
 		chrome   = flag.String("chrome", "", "write a Chrome trace_event timeline to this file (chrome://tracing, Perfetto)")
 		tracecap = flag.Int("tracecap", 0, "trace ring-buffer capacity in events (0 = default; oldest events drop on overflow)")
@@ -108,10 +108,10 @@ func run() error {
 	}
 	if *progress {
 		last := -1
-		opts.OnRound = func(round, active int) {
-			if active != last {
-				fmt.Printf("round %4d: %d active\n", round, active)
-				last = active
+		opts.OnRoundStats = func(st repro.RoundStats) {
+			if st.Active != last {
+				fmt.Printf("round %4d: %d active\n", st.Round, st.Active)
+				last = st.Active
 			}
 		}
 	}

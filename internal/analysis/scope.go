@@ -96,25 +96,24 @@ func PathInScope(path string, scope []string) bool {
 	return false
 }
 
-// HasBitsMethod reports whether t's method set (value or pointer receiver)
-// contains the CONGEST accounting method `Bits() int`, i.e. whether values
-// of t satisfy runtime.BitSized. The check is structural so fixtures need
-// not import the real runtime package.
+// HasBitsMethod reports whether t's own method set contains the CONGEST
+// accounting method `Bits() int`, i.e. whether values of t satisfy
+// runtime.BitSized. A Bits method on *t does not count: a t value sent as a
+// payload is not BitSized at run time. The check is structural so fixtures
+// need not import the real runtime package.
 func HasBitsMethod(t types.Type) bool {
-	for _, typ := range []types.Type{t, types.NewPointer(t)} {
-		ms := types.NewMethodSet(typ)
-		for i := 0; i < ms.Len(); i++ {
-			f, ok := ms.At(i).Obj().(*types.Func)
-			if !ok || f.Name() != "Bits" {
-				continue
-			}
-			sig, ok := f.Type().(*types.Signature)
-			if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-				continue
-			}
-			if basic, ok := sig.Results().At(0).Type().(*types.Basic); ok && basic.Kind() == types.Int {
-				return true
-			}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		f, ok := ms.At(i).Obj().(*types.Func)
+		if !ok || f.Name() != "Bits" {
+			continue
+		}
+		sig, ok := f.Type().(*types.Signature)
+		if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
+			continue
+		}
+		if basic, ok := sig.Results().At(0).Type().(*types.Basic); ok && basic.Kind() == types.Int {
+			return true
 		}
 	}
 	return false

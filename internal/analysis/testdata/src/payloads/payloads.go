@@ -41,7 +41,8 @@ func build(to int) []Out {
 		{To: to, Payload: unsized{V: 1}}, // want `payload type unsized does not implement BitSized`
 	}
 	outs = append(outs, Out{to, &ptrSized{}})
-	outs = append(outs, Out{to, unsized{}}) // want `payload type unsized does not implement BitSized`
+	outs = append(outs, Out{to, ptrSized{}}) // want `payload type ptrSized does not implement BitSized`
+	outs = append(outs, Out{to, unsized{}})  // want `payload type unsized does not implement BitSized`
 	var o Out
 	o.Payload = unsized{} // want `payload type unsized does not implement BitSized`
 	o.Payload = sized{}

@@ -95,28 +95,17 @@ func TestDecompExtendableAtPhaseBoundaries(t *testing.T) {
 	// (winning clusters' outputs plus the built-in clean-up).
 	g := graph.GNP(48, 0.1, rand.New(rand.NewSource(54)))
 	p := decomp.PhaseRounds(g.N())
-	snapshots := make(map[int][]int)
-	_, err := runtime.Run(runtime.Config{
+	res, err := runtime.Run(runtime.Config{
 		Graph:     g,
 		Factory:   mis.Solo(decomp.Stage(5)),
 		MaxRounds: 200 * p,
-		Observer: func(round int, outputs []any, active []bool) {
-			if round%p != 0 {
-				return
-			}
-			snap := make([]int, len(outputs))
-			for i, o := range outputs {
-				if v, ok := o.(int); ok && !active[i] {
-					snap[i] = v
-				} else {
-					snap[i] = verify.Undecided
-				}
-			}
-			snapshots[round] = snap
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	snapshots := make(map[int][]int)
+	for round := p; round <= res.Rounds; round += p {
+		snapshots[round] = settledAt(res, round)
 	}
 	if len(snapshots) == 0 {
 		t.Fatal("no phase boundaries observed")
@@ -157,4 +146,18 @@ func TestScheduleAndBounds(t *testing.T) {
 			t.Errorf("n=%d: bound mismatch", n)
 		}
 	}
+}
+
+// settledAt is a completed run's partial output vector at the end of round
+// r: node i holds its int output iff it terminated by then
+// (0 < TerminatedAt[i] <= r), and is Undecided otherwise.
+func settledAt(res *runtime.Result, r int) []int {
+	partial := make([]int, len(res.Outputs))
+	for i, at := range res.TerminatedAt {
+		partial[i] = verify.Undecided
+		if v, ok := res.Outputs[i].(int); ok && at > 0 && at <= r {
+			partial[i] = v
+		}
+	}
+	return partial
 }

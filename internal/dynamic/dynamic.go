@@ -182,10 +182,10 @@ func Open(g *graph.Graph, problemName string, opts Options) (*Session, error) {
 	}
 	s := &Session{opts: opts, d: d, spec: spec, g: g, seen: make(map[int]bool)}
 	out, res, err := heal.Extend(s.runConfig(), spec, allUndecided(g.N()))
+	if errors.Is(err, heal.ErrInvalid) {
+		err = fmt.Errorf("dynamic: prediction-free run produced an invalid solution: %w", err)
+	}
 	if err != nil {
-		if res != nil {
-			err = fmt.Errorf("dynamic: prediction-free run produced an invalid solution: %w", err)
-		}
 		return nil, fmt.Errorf("dynamic: opening run failed: %w", err)
 	}
 	s.out = out
@@ -343,19 +343,13 @@ func (s *Session) healStep(rep *StepReport, advFor func(attempt int) runtime.Adv
 			cfg.RoundDeadline = s.opts.StepDeadline
 			cfg.Adversary = advFor(attempt)
 		}
-		lastRound := 0
-		cfg.Observer = func(round int, outputs []any, active []bool) { lastRound = round }
 		healed, res, err := heal.Extend(cfg, s.spec, partial)
 		rep.Attempts++
 		if err != nil && errors.Is(err, runtime.ErrConfig) {
 			// The run never started; retrying cannot help.
 			return fmt.Errorf("dynamic: healing run misconfigured: %w", err)
 		}
-		if res != nil {
-			rep.Rounds += res.Rounds
-		} else {
-			rep.Rounds += lastRound
-		}
+		rep.Rounds += res.Rounds
 		if err == nil {
 			s.out = healed
 			rep.Residual = len(residual)

@@ -220,9 +220,9 @@ type Spec struct {
 // problem's Simple Template as predictions (undecided nodes predict
 // spec.UndecidedPred), runs it under cfg's engine settings, and decodes and
 // verifies the output. cfg's Factory and Predictions are replaced. The
-// result is nil when the run failed and non-nil when it completed, so a
-// caller can tell an aborted run from an invalid output and still account
-// the completed run's rounds.
+// result is the run's, partial when it aborted (nil only for a config
+// error), so a caller can account the rounds either way; an output that
+// fails spec.Verify returns an error matching ErrInvalid.
 func Extend(cfg runtime.Config, spec Spec, partial []int) ([]int, *runtime.Result, error) {
 	preds := make([]any, len(partial))
 	for i, p := range partial {
@@ -236,14 +236,24 @@ func Extend(cfg runtime.Config, spec Spec, partial []int) ([]int, *runtime.Resul
 	cfg.Predictions = preds
 	res, err := runtime.Run(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, res, err
 	}
 	out := decode(res.Outputs)
 	if err := spec.Verify(cfg.Graph, out); err != nil {
-		return nil, res, err
+		return nil, res, invalid{err}
 	}
 	return out, res, nil
 }
+
+// ErrInvalid matches an Extend error whose run completed but whose output
+// failed spec.Verify, as opposed to an aborted run.
+var ErrInvalid = errors.New("heal: invalid solution")
+
+// invalid marks a verifier error as ErrInvalid; its text is the verifier's
+// alone.
+type invalid struct{ error }
+
+func (e invalid) Unwrap() []error { return []error{e.error, ErrInvalid} }
 
 // decode reads an engine output vector as ints; anything else is undecided.
 func decode(raw []any) []int {
@@ -262,13 +272,14 @@ type Report struct {
 	// PrimaryErr is the primary run's error when it aborted — a contained
 	// machine panic, a round-deadline hit, no termination, or a protocol
 	// violation (e.g. corrupted payloads rejected by a template machine).
-	// Recovery then proceeded from the last observed outputs. Nil when the
-	// primary run completed.
+	// Recovery then proceeded from the outputs settled by the last round it
+	// completed. Nil when the primary run completed.
 	PrimaryErr error
-	// PrimaryRounds is the last round the primary run executed; equal to
-	// the primary Result's Rounds when it completed.
+	// PrimaryRounds is the primary Result's Rounds: the last round it
+	// completed when it aborted.
 	PrimaryRounds int
-	// PrimaryMessages counts the primary run's delivered messages.
+	// PrimaryMessages counts the primary run's delivered messages (0 when
+	// it aborted).
 	PrimaryMessages int
 	// Valid reports whether the primary outputs already verified; no
 	// healing runs in that case.
@@ -292,37 +303,16 @@ type Report struct {
 func (r *Report) TotalRounds() int { return r.PrimaryRounds + r.RecoveryRounds }
 
 // RunRecovered executes cfg, validates its outputs with spec.Verify, and on
-// any damage — an invalid solution, or an aborted run — carves the last
-// observed outputs into an extendable partial solution and Extends it to
-// heal. The healing run keeps cfg's engine mode, trace and telemetry but
-// none of its faults or caps: crashed nodes are treated as recovered (chaos
-// is transient), so the healed solution covers the whole graph. Config
-// errors (a run that never started) are returned as-is; a healing run that
-// itself fails or produces an invalid solution is an error.
+// any damage — an invalid solution, or an aborted run — carves the outputs
+// settled by the run's last completed round into an extendable partial
+// solution and Extends it to heal. The healing run keeps cfg's engine mode,
+// trace and telemetry but none of its faults or caps: crashed nodes are
+// treated as recovered (chaos is transient), so the healed solution covers
+// the whole graph. Config errors (a run that never started) are returned
+// as-is; a healing run that itself fails or produces an invalid solution is
+// an error.
 func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 	g := cfg.Graph
-	if g == nil {
-		return nil, fmt.Errorf("%w: heal: Config.Graph is required", runtime.ErrConfig)
-	}
-	n := g.N()
-	snapshot := make([]any, n)
-	lastRound := 0
-	chain := cfg.Observer
-	cfg.Observer = func(round int, outputs []any, active []bool) {
-		lastRound = round
-		for i := range outputs {
-			// Record only settled outputs: a still-active node's partial
-			// output may yet change.
-			if active[i] {
-				snapshot[i] = nil
-			} else {
-				snapshot[i] = outputs[i]
-			}
-		}
-		if chain != nil {
-			chain(round, outputs, active)
-		}
-	}
 	tr := cfg.Trace
 	if tr != nil {
 		tr.Emit(obs.Event{Type: obs.EvPhase, Name: "primary"})
@@ -332,14 +322,11 @@ func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 		// The run never started: misconfiguration, not damage.
 		return nil, err
 	}
-	report := &Report{PrimaryErr: err, PrimaryRounds: lastRound}
-	raw := snapshot
+	report := &Report{PrimaryErr: err, PrimaryRounds: res.Rounds}
 	if err == nil {
-		raw = res.Outputs
-		report.PrimaryRounds = res.Rounds
 		report.PrimaryMessages = res.Messages
 	}
-	outs := decode(raw)
+	outs := decode(res.Outputs)
 	if err == nil && spec.Verify(g, outs) == nil {
 		report.Valid = true
 		report.Output = outs
@@ -362,11 +349,11 @@ func RunRecovered(cfg runtime.Config, spec Spec) (*Report, error) {
 		Trace:     tr,
 		Telemetry: cfg.Telemetry,
 	}, spec, partial)
-	if err != nil {
-		if healRes == nil {
-			return nil, fmt.Errorf("heal: recovery run failed: %w", err)
-		}
+	if errors.Is(err, ErrInvalid) {
 		return nil, fmt.Errorf("heal: recovery produced an invalid solution: %w", err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("heal: recovery run failed: %w", err)
 	}
 	report.Healed = true
 	report.RecoveryRounds = healRes.Rounds

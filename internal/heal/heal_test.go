@@ -155,7 +155,7 @@ func TestRunRecoveredMIS(t *testing.T) {
 
 // TestRunRecoveredFromAbort: corruption makes the template machinery abort
 // (unrecognizable payloads are protocol errors); recovery proceeds from the
-// last observed outputs.
+// aborted run's partial result.
 func TestRunRecoveredFromAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	sawAbort := false
@@ -240,9 +240,11 @@ func TestRunRecoveredConfigError(t *testing.T) {
 }
 
 // TestExtendResultContract: Extend keeps every decided node of an
-// extendable partial MIS and verifies the extension; its result is nil when
-// the run failed (here, a round cap too small to finish) and non-nil when
-// the run completed but the output did not verify.
+// extendable partial MIS and verifies the extension. It returns the run's
+// result whether the run completed or aborted (here, a round cap too small
+// to finish: the partial result of the last completed round), and an error
+// matches ErrInvalid exactly when the run completed but its output did not
+// verify.
 func TestExtendResultContract(t *testing.T) {
 	g := graph.GNP(40, 0.1, rand.New(rand.NewSource(3)))
 	good := make([]int, g.N())
@@ -261,13 +263,18 @@ func TestExtendResultContract(t *testing.T) {
 		t.Fatalf("extension %v is not a valid MIS keeping node 0", out)
 	}
 
-	if _, res, err := heal.Extend(runtime.Config{Graph: g, MaxRounds: 1}, misSpec(), good); err == nil || res != nil {
-		t.Fatalf("capped run: res=%v err=%v, want a failed run with nil result", res, err)
+	out, res, err = heal.Extend(runtime.Config{Graph: g, MaxRounds: 1}, misSpec(), good)
+	if !errors.Is(err, runtime.ErrNoTermination) || errors.Is(err, heal.ErrInvalid) || out != nil {
+		t.Fatalf("capped run: out=%v err=%v, want an aborted run", out, err)
+	}
+	if res == nil || res.Rounds != 1 {
+		t.Fatalf("capped run: res=%+v, want the partial result of round 1", res)
 	}
 
 	reject := misSpec()
 	reject.Verify = func(*graph.Graph, []int) error { return errors.New("rejected") }
-	if _, res, err := heal.Extend(runtime.Config{Graph: g}, reject, good); err == nil || res == nil {
-		t.Fatalf("rejected output: res=%v err=%v, want a completed run with an error", res, err)
+	_, res, err = heal.Extend(runtime.Config{Graph: g}, reject, good)
+	if !errors.Is(err, heal.ErrInvalid) || err.Error() != "rejected" || res == nil {
+		t.Fatalf("rejected output: res=%v err=%v, want a completed run with the verifier's error", res, err)
 	}
 }

@@ -20,32 +20,33 @@ func TestGreedyExtendableAtGroupBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.GNP(35, 0.15, rng)
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:   g,
 			Factory: matching.Solo(matching.MeasureUniform(0)),
-			Observer: func(round int, outputs []any, active []bool) {
-				if round%3 != 0 {
-					return
-				}
-				partial := make([]int, len(outputs))
-				for i := range outputs {
-					if active[i] {
-						partial[i] = verify.Undecided
-					} else if v, ok := outputs[i].(int); ok {
-						partial[i] = v
-					} else {
-						partial[i] = verify.Undecided
-					}
-				}
-				if err := verify.MatchingPartialExtendable(g, partial); err != nil {
-					t.Errorf("trial %d round %d: %v", trial, round, err)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for round := 3; round <= res.Rounds; round += 3 {
+			if err := verify.MatchingPartialExtendable(g, settledAt(res, round)); err != nil {
+				t.Errorf("trial %d round %d: %v", trial, round, err)
+			}
+		}
 	}
+}
+
+// settledAt is a completed run's partial output vector at the end of round
+// r: node i holds its int output iff it terminated by then
+// (0 < TerminatedAt[i] <= r), and is Undecided otherwise.
+func settledAt(res *runtime.Result, r int) []int {
+	partial := make([]int, len(res.Outputs))
+	for i, at := range res.TerminatedAt {
+		partial[i] = verify.Undecided
+		if v, ok := res.Outputs[i].(int); ok && at > 0 && at <= r {
+			partial[i] = v
+		}
+	}
+	return partial
 }
 
 // TestBaseExtendable: the matching base/initialization algorithms leave
@@ -63,31 +64,19 @@ func TestBaseExtendable(t *testing.T) {
 			"base": matching.SimpleBase(),
 			"init": matching.SimpleGreedy(),
 		} {
-			_, err := runtime.Run(runtime.Config{
+			res, err := runtime.Run(runtime.Config{
 				Graph:       g,
 				Factory:     f,
 				Predictions: anyPreds,
-				Observer: func(round int, outputs []any, active []bool) {
-					if round != 2 {
-						return
-					}
-					partial := make([]int, len(outputs))
-					for i := range outputs {
-						if active[i] {
-							partial[i] = verify.Undecided
-						} else if v, ok := outputs[i].(int); ok {
-							partial[i] = v
-						} else {
-							partial[i] = verify.Undecided
-						}
-					}
-					if err := verify.MatchingPartialExtendable(g, partial); err != nil {
-						t.Errorf("trial %d %s: %v", trial, name, err)
-					}
-				},
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Rounds < 2 {
+				continue
+			}
+			if err := verify.MatchingPartialExtendable(g, settledAt(res, 2)); err != nil {
+				t.Errorf("trial %d %s: %v", trial, name, err)
 			}
 		}
 	}

@@ -13,8 +13,9 @@ import (
 	"repro/internal/verify"
 )
 
-// observeRun executes factory and hands every end-of-round snapshot (as a
-// partial output vector with Undecided for active nodes) to check.
+// observeRun executes factory and hands check the snapshot at the end of
+// every round (as a partial output vector with Undecided for active nodes),
+// read back from the completed run.
 func observeRun(t *testing.T, g *graph.Graph, factory runtime.Factory, preds []int,
 	check func(round int, partial []int)) {
 	t.Helper()
@@ -25,27 +26,31 @@ func observeRun(t *testing.T, g *graph.Graph, factory runtime.Factory, preds []i
 			anyPreds[i] = p
 		}
 	}
-	_, err := runtime.Run(runtime.Config{
+	res, err := runtime.Run(runtime.Config{
 		Graph:       g,
 		Factory:     factory,
 		Predictions: anyPreds,
-		Observer: func(round int, outputs []any, active []bool) {
-			partial := make([]int, len(outputs))
-			for i := range outputs {
-				if active[i] {
-					partial[i] = verify.Undecided
-				} else if v, ok := outputs[i].(int); ok {
-					partial[i] = v
-				} else {
-					partial[i] = verify.Undecided
-				}
-			}
-			check(round, partial)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for round := 1; round <= res.Rounds; round++ {
+		check(round, settledAt(res, round))
+	}
+}
+
+// settledAt is a completed run's partial output vector at the end of round
+// r: node i holds its int output iff it terminated by then
+// (0 < TerminatedAt[i] <= r), and is Undecided otherwise.
+func settledAt(res *runtime.Result, r int) []int {
+	partial := make([]int, len(res.Outputs))
+	for i, at := range res.TerminatedAt {
+		partial[i] = verify.Undecided
+		if v, ok := res.Outputs[i].(int); ok && at > 0 && at <= r {
+			partial[i] = v
+		}
+	}
+	return partial
 }
 
 // TestGreedyExtendableAtEvenRounds verifies the extendability invariant the

@@ -27,21 +27,16 @@ func TestMISBaseActiveMatchesEngine(t *testing.T) {
 		preds := predict.FlipProb(predict.PerfectMIS(g), 0.3, rng)
 		want := predict.MISBaseActive(g, preds)
 
-		var got []bool
 		factory := core.Sequence(mis.NewMemory(), mis.Base(), sinkStage())
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:       g,
 			Factory:     factory,
 			Predictions: anyPreds(preds),
-			Observer: func(round int, outputs []any, active []bool) {
-				if round == 3 {
-					got = append([]bool(nil), active...)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := activeAfter(res, 3)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("trial %d node %d: definition says active=%v, engine says %v",
@@ -70,6 +65,16 @@ func (sinkMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	c.Output(-1)
 }
 
+// activeAfter reports, per node, whether a completed run still had it
+// active at the end of round r: it had not terminated by then.
+func activeAfter(res *runtime.Result, r int) []bool {
+	active := make([]bool, len(res.TerminatedAt))
+	for i, at := range res.TerminatedAt {
+		active[i] = at == 0 || at > r
+	}
+	return active
+}
+
 func anyPreds(preds []int) []any {
 	out := make([]any, len(preds))
 	for i, p := range preds {
@@ -86,21 +91,16 @@ func TestMatchingBaseActiveMatchesEngine(t *testing.T) {
 		g := graph.GNP(20, 0.25, rng)
 		preds := predict.PerturbMatching(g, predict.PerfectMatching(g), 6, rng)
 		want := predict.MatchingBaseActive(g, preds)
-		var got []bool
 		factory := core.Sequence(matching.NewMemory(), matching.Base(), sinkStage())
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:       g,
 			Factory:     factory,
 			Predictions: anyPreds(preds),
-			Observer: func(round int, outputs []any, active []bool) {
-				if round == 2 {
-					got = append([]bool(nil), active...)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := activeAfter(res, 2)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("trial %d node %d: definition %v, engine %v", trial, g.ID(i), want[i], got[i])
@@ -116,21 +116,16 @@ func TestVColorBaseActiveMatchesEngine(t *testing.T) {
 		g := graph.GNP(22, 0.2, rng)
 		preds := predict.PerturbVColor(g, predict.PerfectVColor(g), 6, rng)
 		want := predict.VColorBaseActive(g, preds)
-		var got []bool
 		factory := core.Sequence(vcolor.NewMemory, vcolor.Base(), sinkStage())
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:       g,
 			Factory:     factory,
 			Predictions: anyPreds(preds),
-			Observer: func(round int, outputs []any, active []bool) {
-				if round == 2 {
-					got = append([]bool(nil), active...)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := activeAfter(res, 2)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("trial %d node %d: definition %v, engine %v", trial, g.ID(i), want[i], got[i])

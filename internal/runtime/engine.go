@@ -66,10 +66,6 @@ type Config struct {
 	// violations abort the run. The conventional budget is O(log n) — see
 	// CongestBudget.
 	MaxMessageBits int
-	// Observer, when non-nil, is invoked at the end of every round with the
-	// round number, the current outputs (index-aligned, nil where absent),
-	// and which nodes are still active. The slices are reused; copy to keep.
-	Observer func(round int, outputs []any, active []bool)
 	// Stats, when non-nil, is invoked at the end of every round with the
 	// engine's instrumentation record for that round (wall time, deliveries,
 	// payload bits). Purely observational: it never affects semantics.
@@ -139,16 +135,22 @@ type ShardRoundStats struct {
 	BoundaryOutBits int
 }
 
-// Result reports the outcome of a run.
+// Result reports the outcome of a run. A run that aborts after it started
+// returns its partial Result together with the error: Rounds is then the
+// last completed round, and Outputs and TerminatedAt hold the nodes that
+// terminated by the end of it — the settled state at that round boundary.
+// The traffic counters and MaxMsgBits include the aborted round's
+// deliveries.
 type Result struct {
 	// Rounds is the round in which the last node terminated (0 if the graph
-	// is empty).
+	// is empty), or, when the run aborted, the last round it completed.
 	Rounds int
 	// Outputs holds each node's final output, indexed by node index; nil for
-	// crashed nodes that never output.
+	// crashed nodes that never output and for nodes still active when the
+	// run aborted.
 	Outputs []any
-	// TerminatedAt holds the round each node terminated, 0 for crashed nodes
-	// that never terminated.
+	// TerminatedAt holds the round each node terminated, 0 for nodes that
+	// never terminated.
 	TerminatedAt []int
 	// Messages is the total number of point-to-point messages delivered.
 	Messages int
@@ -216,7 +218,9 @@ func CongestBudget(n, d int) int {
 	return 4 * bits.Len(uint(m-1))
 }
 
-// Run executes the algorithm to completion and returns the result.
+// Run executes the algorithm to completion and returns the result. A
+// configuration error returns a nil Result; any later abort returns the
+// partial Result (see Result) with the error.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("%w: Config.Graph is required", ErrConfig)
@@ -296,7 +300,7 @@ func Run(cfg Config) (*Result, error) {
 			// The round that overran never began; close the run after the
 			// last round that did execute.
 			st.traceRunEnd(maxRounds, res, err)
-			return nil, err
+			return st.closeResult(res, round-1), err
 		}
 		var start, mark time.Time
 		if timed {
@@ -311,11 +315,11 @@ func Run(cfg Config) (*Result, error) {
 		activeThisRound := st.activeCount
 		if err := st.phase(cmdSend, round, "send"); err != nil {
 			st.traceAbort(round, res, err, "send", false)
-			return nil, err
+			return st.closeResult(res, round-1), err
 		}
 		if err := st.firstError(); err != nil {
 			st.traceAbort(round, res, err, "send", true)
-			return nil, err
+			return st.closeResult(res, round-1), err
 		}
 		if telemetry {
 			mark = telObserve(st.telSend, mark)
@@ -326,11 +330,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if err := st.phase(cmdReceive, round, "receive"); err != nil {
 			st.traceAbort(round, res, err, "receive", false)
-			return nil, err
+			return st.closeResult(res, round-1), err
 		}
 		if err := st.firstError(); err != nil {
 			st.traceAbort(round, res, err, "receive", true)
-			return nil, err
+			return st.closeResult(res, round-1), err
 		}
 		if telemetry {
 			telObserve(st.telReceive, mark)
@@ -365,16 +369,23 @@ func Run(cfg Config) (*Result, error) {
 				Shards:       st.shardStats,
 			})
 		}
-		if cfg.Observer != nil {
-			cfg.Observer(round, st.observedOutputs, st.observedActive)
-		}
 	}
+	st.traceRunEnd(res.Rounds, res, nil)
+	return st.closeResult(res, res.Rounds), nil
+}
+
+// closeResult completes res with its round count and MaxMsgBits. A run
+// aborting in round r passes r-1: endRound never ran for round r, so res
+// holds the settled state at the end of r-1. Only the main goroutine writes
+// res — an abandoned deadline phase goroutine touches machines and envs,
+// never res — so the caller may read it.
+func (st *state) closeResult(res *Result, rounds int) *Result {
+	res.Rounds = rounds
 	res.MaxMsgBits = st.maxMsgBits
 	if st.localOnly {
 		res.MaxMsgBits = -1
 	}
-	st.traceRunEnd(res.Rounds, res, nil)
-	return res, nil
+	return res
 }
 
 // telObserve records the wall time elapsed since mark into the phase
@@ -551,12 +562,6 @@ type state struct {
 	// round loop observes phase wall times into these without any label
 	// formatting or map lookups on the hot path.
 	telSend, telRoute, telReceive, telRound *obs.Histogram
-
-	// observedOutputs/observedActive back Config.Observer; allocated only
-	// when an observer is attached and maintained incrementally (settled
-	// nodes never change after leaving the frontier).
-	observedOutputs []any
-	observedActive  []bool
 }
 
 // idSorter sorts a CSR neighbor range ascending by node identifier. It is
@@ -669,13 +674,6 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 	st.activeCount = n
 	// Run has already validated the schedule (indices in range, rounds >= 1).
 	st.crashSched = buildCrashSched(crashes)
-	if cfg.Observer != nil {
-		st.observedOutputs = make([]any, n)
-		st.observedActive = make([]bool, n)
-		for i := range st.observedActive {
-			st.observedActive[i] = true
-		}
-	}
 	st.initLanes(part)
 	if cfg.Telemetry != nil {
 		lanes := len(st.lanes)
@@ -709,12 +707,6 @@ func (st *state) beginRound(round int) {
 		e.outs, e.dst, e.bcast = nil, nil, nil
 		if st.trace != nil {
 			st.trace.Emit(obs.Event{Type: obs.EvCrash, Round: round, Node: e.info.ID})
-		}
-		if st.cfg.Observer != nil {
-			st.observedActive[i] = false
-			if e.hasOutput {
-				st.observedOutputs[i] = e.output
-			}
 		}
 	}
 	k := 0
@@ -955,7 +947,6 @@ func (st *state) endRound(round int, res *Result) {
 	if st.trace != nil {
 		st.drainNotes(round)
 	}
-	observing := st.cfg.Observer != nil
 	for _, si := range st.actByIdx {
 		i := int(si)
 		e := &st.envs[i]
@@ -971,19 +962,6 @@ func (st *state) endRound(round int, res *Result) {
 			// Release the settled node's routing references; its frontier bit
 			// stays clear for the rest of the run.
 			e.outs, e.dst, e.bcast = nil, nil, nil
-			if observing {
-				st.observedOutputs[i] = e.output
-				st.observedActive[i] = false
-			}
-			continue
-		}
-		if observing {
-			if e.hasOutput {
-				st.observedOutputs[i] = e.output
-			} else {
-				st.observedOutputs[i] = nil
-			}
-			st.observedActive[i] = true
 		}
 	}
 }

@@ -77,22 +77,12 @@ func FuzzAdversaryParity(f *testing.F) {
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("error surfaces differ: %v vs %v", seqErr, parErr)
 		}
-		if seqErr != nil {
-			if seqErr.Error() != parErr.Error() {
-				t.Fatalf("errors differ:\n  seq: %v\n  par: %v", seqErr, parErr)
-			}
-			return
+		if seqErr != nil && seqErr.Error() != parErr.Error() {
+			t.Fatalf("errors differ:\n  seq: %v\n  par: %v", seqErr, parErr)
 		}
-		if seq.Rounds != par.Rounds || seq.Messages != par.Messages || seq.MaxMsgBits != par.MaxMsgBits {
+		assertSameResult(t, "pool vs seq", par, seq)
+		if seqErr == nil && (seq.Messages != par.Messages || seq.MaxMsgBits != par.MaxMsgBits) {
 			t.Fatalf("engines disagree: %+v vs %+v", seq, par)
-		}
-		for i := range seq.Outputs {
-			if seq.Outputs[i] != par.Outputs[i] {
-				t.Fatalf("node %d: outputs differ: %v vs %v", i, seq.Outputs[i], par.Outputs[i])
-			}
-			if seq.TerminatedAt[i] != par.TerminatedAt[i] {
-				t.Fatalf("node %d: terminated at %d vs %d", i, seq.TerminatedAt[i], par.TerminatedAt[i])
-			}
 		}
 	})
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/runtime/fault"
 )
@@ -46,21 +48,23 @@ func echoFactory(limit int) runtime.Factory {
 func TestSameRoundDelivery(t *testing.T) {
 	// Messages sent in round r are received in round r (paper Section 2).
 	g := graph.Line(2)
-	var got []string
-	res, err := runtime.Run(runtime.Config{
-		Graph:   g,
-		Factory: echoFactory(2),
-		Observer: func(round int, outputs []any, active []bool) {
-			got = append(got, fmt.Sprint(round, outputs))
-		},
-	})
+	res, err, events, logs := runFrontier(t, runtime.Config{Graph: g}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds != 3 {
 		t.Fatalf("rounds = %d, want 3", res.Rounds)
 	}
-	// Each node heard exactly rounds 1 and 2 from its single neighbor.
+	// Both nodes sent in rounds 1-3, received in rounds 1-2 and output in
+	// round 3, the round their Send terminated them.
+	checkOneWay(t, "line-2", logs)
+	for i, l := range logs {
+		if exit := l.Exits[0]; exit.Type != obs.EvOutput || exit.Round != 3 {
+			t.Errorf("node %d left the frontier by %s in round %d, want an output in round 3", i, exit.Type, exit.Round)
+		}
+	}
+	// Each node heard exactly rounds 1 and 2 from its single neighbor, in
+	// its Receive calls of those same rounds.
 	for i, o := range res.Outputs {
 		want := fmt.Sprint([]string{
 			fmt.Sprint(g.ID(1-i), echoPayload{Round: 1, From: g.ID(1 - i)}),
@@ -68,6 +72,11 @@ func TestSameRoundDelivery(t *testing.T) {
 		})
 		if o != want {
 			t.Errorf("node %d heard %v, want %v", i, o, want)
+		}
+	}
+	for _, e := range events {
+		if e.Type == obs.EvBatch && e.Value != 1 {
+			t.Errorf("round %d: node %d's batch delivered %d messages, want 1", e.Round, e.Node, e.Value)
 		}
 	}
 }
@@ -218,31 +227,149 @@ func TestCrashStopsSending(t *testing.T) {
 	}
 }
 
-func TestObserverSeesPartialOutputs(t *testing.T) {
-	g := graph.Line(4)
-	type snapshot struct {
-		round   int
-		actives int
+// abortMachine is an echo machine that, in round failRound, fails the way
+// its fail names: a send to itself (no node is its own neighbour), a panic,
+// an oversized payload, or a wedge until block closes.
+type abortMachine struct {
+	echoMachine
+	fail      string
+	failRound int
+	block     chan struct{}
+}
+
+type bigPayload struct{}
+
+func (bigPayload) Bits() int { return 64 }
+
+func (m *abortMachine) Send(env *runtime.Env) []runtime.Out {
+	if env.Round() == m.failRound {
+		switch m.fail {
+		case "protocol":
+			return []runtime.Out{{To: env.ID(), Payload: echoPayload{}}}
+		case "panic":
+			panic("abort test")
+		case "congest":
+			return runtime.Broadcast(env.Info(), bigPayload{})
+		case "deadline":
+			<-m.block
+		}
 	}
-	var snaps []snapshot
-	_, err := runtime.Run(runtime.Config{
-		Graph:   g,
-		Factory: echoFactory(2),
-		Observer: func(round int, outputs []any, active []bool) {
-			count := 0
-			for _, a := range active {
-				if a {
-					count++
+	return m.echoMachine.Send(env)
+}
+
+// TestAbortReturnsPartialResult pins the partial-result contract: a run that
+// aborts in round k — round cap, protocol violation, machine panic, CONGEST
+// violation or round deadline — returns a non-nil Result with Rounds = k-1
+// whose Outputs and TerminatedAt are the uncapped run's settled prefix at
+// the end of round k-1, on every engine layout.
+func TestAbortReturnsPartialResult(t *testing.T) {
+	const k, failIdx = 4, 3
+	g := graph.Ring(24)
+	// Node i terminates in round 2 + 2·(i%4): the prefix at k-1 settles
+	// some nodes and not others, none terminates in round k-1 itself (so
+	// Rounds is the completed round, not the last termination), and node
+	// failIdx is still active in round k.
+	cfg := func(fail string, block chan struct{}) runtime.Config {
+		return runtime.Config{
+			Graph:          g,
+			MaxMessageBits: 16,
+			Factory: func(info runtime.NodeInfo, pred any) runtime.Machine {
+				m := &abortMachine{echoMachine: echoMachine{limit: 1 + 2*(info.Index%4)}, block: block}
+				if info.Index == failIdx {
+					m.fail, m.failRound = fail, k
 				}
-			}
-			snaps = append(snaps, snapshot{round: round, actives: count})
-		},
-	})
+				return m
+			},
+		}
+	}
+	ref, err := runtime.Run(cfg("", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 3 || snaps[0].actives != 4 || snaps[2].actives != 0 {
-		t.Errorf("unexpected snapshots: %+v", snaps)
+	settled := 0
+	for _, at := range ref.TerminatedAt {
+		if at == k-1 {
+			t.Fatalf("a node terminates in round %d; Rounds would be ambiguous", k-1)
+		}
+		if at < k-1 {
+			settled++
+		}
+	}
+	if settled == 0 || settled == g.N() || ref.TerminatedAt[failIdx] <= k {
+		t.Fatalf("reference settles %d of %d nodes by round %d (fail node at %d); the prefix is trivial",
+			settled, g.N(), k-1, ref.TerminatedAt[failIdx])
+	}
+	cases := []struct {
+		fail string
+		want error
+	}{
+		{"", runtime.ErrNoTermination},
+		{"protocol", runtime.ErrProtocol},
+		{"panic", runtime.ErrMachinePanic},
+		{"congest", runtime.ErrCongestViolation},
+		{"deadline", runtime.ErrRoundDeadline},
+	}
+	engines := []struct {
+		name     string
+		parallel bool
+		shards   int
+	}{{"seq", false, 0}, {"pool", true, 0}, {"shards=2", false, 2}}
+	for _, c := range cases {
+		for _, e := range engines {
+			label := fmt.Sprintf("%v/%s", c.want, e.name)
+			// Release a wedged machine at test end so its goroutine (leaked by
+			// design on a deadline abort) does not outlive the test.
+			block := make(chan struct{})
+			defer close(block)
+			run := cfg(c.fail, block)
+			run.Parallel, run.Shards = e.parallel, e.shards
+			switch c.fail {
+			case "":
+				run.MaxRounds = k - 1
+			case "deadline":
+				run.RoundDeadline = 50 * time.Millisecond
+			}
+			res, err := runtime.Run(run)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("%s: err = %v", label, err)
+			}
+			if res == nil {
+				t.Fatalf("%s: aborted run returned a nil result", label)
+			}
+			if res.Rounds != k-1 {
+				t.Errorf("%s: Rounds = %d, want %d", label, res.Rounds, k-1)
+			}
+			for i, at := range ref.TerminatedAt {
+				var wantOut any
+				if at > k-1 {
+					at = 0
+				} else {
+					wantOut = ref.Outputs[i]
+				}
+				if res.TerminatedAt[i] != at || res.Outputs[i] != wantOut {
+					t.Fatalf("%s: node %d: output %v at round %d, want %v at round %d",
+						label, i, res.Outputs[i], res.TerminatedAt[i], wantOut, at)
+				}
+			}
+		}
+	}
+}
+
+// assertSameResult compares the part of two runs' results that an aborted
+// run carries too: the round count and every node's output and termination
+// round.
+func assertSameResult(t *testing.T, label string, got, want *runtime.Result) {
+	t.Helper()
+	if got.Rounds != want.Rounds {
+		t.Fatalf("%s: rounds %d vs %d", label, got.Rounds, want.Rounds)
+	}
+	for i := range want.Outputs {
+		if got.Outputs[i] != want.Outputs[i] {
+			t.Fatalf("%s: node %d output %v vs %v", label, i, got.Outputs[i], want.Outputs[i])
+		}
+		if got.TerminatedAt[i] != want.TerminatedAt[i] {
+			t.Fatalf("%s: node %d terminated at %d vs %d", label, i, got.TerminatedAt[i], want.TerminatedAt[i])
+		}
 	}
 }
 
@@ -556,22 +683,12 @@ func TestRandomizedAdversaryParity(t *testing.T) {
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("trial %d: error surfaces differ: %v vs %v", trial, seqErr, parErr)
 		}
-		if seqErr != nil {
-			if seqErr.Error() != parErr.Error() {
-				t.Fatalf("trial %d: errors differ:\n  seq: %v\n  par: %v", trial, seqErr, parErr)
-			}
-			continue
+		if seqErr != nil && seqErr.Error() != parErr.Error() {
+			t.Fatalf("trial %d: errors differ:\n  seq: %v\n  par: %v", trial, seqErr, parErr)
 		}
-		if seq.Rounds != par.Rounds || seq.Messages != par.Messages || seq.MaxMsgBits != par.MaxMsgBits {
+		assertSameResult(t, fmt.Sprintf("trial %d", trial), par, seq)
+		if seqErr == nil && (seq.Messages != par.Messages || seq.MaxMsgBits != par.MaxMsgBits) {
 			t.Fatalf("trial %d: engines disagree: %+v vs %+v", trial, seq, par)
-		}
-		for i := range seq.Outputs {
-			if seq.Outputs[i] != par.Outputs[i] {
-				t.Fatalf("trial %d node %d: outputs differ: %v vs %v", trial, i, seq.Outputs[i], par.Outputs[i])
-			}
-			if seq.TerminatedAt[i] != par.TerminatedAt[i] {
-				t.Fatalf("trial %d node %d: terminated at %d vs %d", trial, i, seq.TerminatedAt[i], par.TerminatedAt[i])
-			}
 		}
 	}
 }

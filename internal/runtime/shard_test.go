@@ -68,6 +68,7 @@ func assertShardParity(t *testing.T, label string, refRes *runtime.Result, refEr
 		if err.Error() != refErr.Error() {
 			t.Fatalf("%s: errors differ:\n  sharded: %v\n  ref:     %v", label, err, refErr)
 		}
+		assertSameResult(t, label, res, refRes)
 		return
 	}
 	if res.Rounds != refRes.Rounds || res.Messages != refRes.Messages ||
@@ -76,14 +77,7 @@ func assertShardParity(t *testing.T, label string, refRes *runtime.Result, refEr
 		res.Corrupted != refRes.Corrupted {
 		t.Fatalf("%s: results differ:\n  sharded: %+v\n  ref:     %+v", label, res, refRes)
 	}
-	for i := range refRes.Outputs {
-		if res.Outputs[i] != refRes.Outputs[i] {
-			t.Fatalf("%s: node %d output %v vs %v", label, i, res.Outputs[i], refRes.Outputs[i])
-		}
-		if res.TerminatedAt[i] != refRes.TerminatedAt[i] {
-			t.Fatalf("%s: node %d terminated at %d vs %d", label, i, res.TerminatedAt[i], refRes.TerminatedAt[i])
-		}
-	}
+	assertSameResult(t, label, res, refRes)
 	if idx, desc, ok := obs.Diff(obs.Canonical(dropShardEvents(trace)), obs.Canonical(dropShardEvents(refTrace))); !ok {
 		t.Fatalf("%s: traces diverge at event %d: %s", label, idx, desc)
 	}

@@ -108,32 +108,33 @@ func TestRootsLeavesExtendableAtEvenRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 10; trial++ {
 		r := tree.RandomRooted(60, rng)
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:   r.G,
 			Factory: tree.Solo(r, tree.RootsAndLeaves(0)),
-			Observer: func(round int, outputs []any, active []bool) {
-				if round%2 != 0 {
-					return
-				}
-				partial := make([]int, len(outputs))
-				for i := range outputs {
-					if active[i] {
-						partial[i] = verify.Undecided
-					} else if v, ok := outputs[i].(int); ok {
-						partial[i] = v
-					} else {
-						partial[i] = verify.Undecided
-					}
-				}
-				if err := verify.MISPartialExtendable(r.G, partial); err != nil {
-					t.Errorf("trial %d round %d: %v", trial, round, err)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for round := 2; round <= res.Rounds; round += 2 {
+			if err := verify.MISPartialExtendable(r.G, settledAt(res, round)); err != nil {
+				t.Errorf("trial %d round %d: %v", trial, round, err)
+			}
+		}
 	}
+}
+
+// settledAt is a completed run's partial output vector at the end of round
+// r: node i holds its int output iff it terminated by then
+// (0 < TerminatedAt[i] <= r), and is Undecided otherwise.
+func settledAt(res *runtime.Result, r int) []int {
+	partial := make([]int, len(res.Outputs))
+	for i, at := range res.TerminatedAt {
+		partial[i] = verify.Undecided
+		if v, ok := res.Outputs[i].(int); ok && at > 0 && at <= r {
+			partial[i] = v
+		}
+	}
+	return partial
 }
 
 // TestTreeInitMonochromatic: after the rooted-tree initialization, the
@@ -150,22 +151,20 @@ func TestTreeInitMonochromatic(t *testing.T) {
 		for i, p := range preds {
 			anyPreds[i] = p
 		}
-		var activeAt4 []bool
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:       r.G,
 			Factory:     tree.SimpleRootsLeaves(r),
 			Predictions: anyPreds,
-			Observer: func(round int, outputs []any, active []bool) {
-				if round == 4 {
-					activeAt4 = append([]bool(nil), active...)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if activeAt4 == nil {
+		if res.Rounds < 4 {
 			continue // everything terminated before round 4
+		}
+		activeAt4 := make([]bool, r.G.N())
+		for u, at := range res.TerminatedAt {
+			activeAt4[u] = at == 0 || at > 4
 		}
 		for u := 0; u < r.G.N(); u++ {
 			if !activeAt4[u] {

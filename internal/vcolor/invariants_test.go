@@ -49,29 +49,33 @@ func TestPartialProperEveryRound(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := graph.GNP(30, 0.2, rng)
 		palette := g.MaxDegree() + 1
-		_, err := runtime.Run(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:   g,
 			Factory: vcolor.Solo(vcolor.MeasureUniform(0)),
-			Observer: func(round int, outputs []any, active []bool) {
-				partial := make([]int, len(outputs))
-				for i := range outputs {
-					if active[i] {
-						partial[i] = verify.Undecided
-					} else if v, ok := outputs[i].(int); ok {
-						partial[i] = v
-					} else {
-						partial[i] = verify.Undecided
-					}
-				}
-				if err := verify.VColorPartial(g, partial, palette); err != nil {
-					t.Errorf("trial %d round %d: %v", trial, round, err)
-				}
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for round := 1; round <= res.Rounds; round++ {
+			if err := verify.VColorPartial(g, settledAt(res, round), palette); err != nil {
+				t.Errorf("trial %d round %d: %v", trial, round, err)
+			}
+		}
 	}
+}
+
+// settledAt is a completed run's partial output vector at the end of round
+// r: node i holds its int output iff it terminated by then
+// (0 < TerminatedAt[i] <= r), and is Undecided otherwise.
+func settledAt(res *runtime.Result, r int) []int {
+	partial := make([]int, len(res.Outputs))
+	for i, at := range res.TerminatedAt {
+		partial[i] = verify.Undecided
+		if v, ok := res.Outputs[i].(int); ok && at > 0 && at <= r {
+			partial[i] = v
+		}
+	}
+	return partial
 }
 
 // TestQuickVColorAlwaysValid property-checks the pipeline with garbage

@@ -175,10 +175,6 @@ type Options struct {
 	// must be size-accounted and at most this many bits. Algorithms built on
 	// LOCAL-size floods (collect, decomposition) will abort under it.
 	CongestBits int
-	// OnRound, when non-nil, is called at the end of every round with the
-	// round number and the count of still-active nodes — a lightweight trace
-	// hook for progress visualization.
-	OnRound func(round, active int)
 	// OnRoundStats, when non-nil, receives the engine's per-round
 	// instrumentation record (wall time, deliveries, payload bits, active
 	// nodes). Purely observational.
@@ -299,18 +295,6 @@ type Result struct {
 }
 
 func buildConfig(g *Graph, factory runtime.Factory, preds []any, opts Options) runtime.Config {
-	var observer func(round int, outputs []any, active []bool)
-	if opts.OnRound != nil {
-		observer = func(round int, outputs []any, active []bool) {
-			count := 0
-			for _, a := range active {
-				if a {
-					count++
-				}
-			}
-			opts.OnRound(round, count)
-		}
-	}
 	return runtime.Config{
 		Graph:          g,
 		Factory:        factory,
@@ -321,7 +305,6 @@ func buildConfig(g *Graph, factory runtime.Factory, preds []any, opts Options) r
 		MaxRounds:      opts.MaxRounds,
 		Crashes:        opts.Crashes,
 		MaxMessageBits: opts.CongestBits,
-		Observer:       observer,
 		Stats:          opts.OnRoundStats,
 		Adversary:      opts.Adversary,
 		RoundDeadline:  opts.RoundDeadline,
