@@ -20,9 +20,11 @@ import (
 // must reproduce them byte for byte on both engines.
 const healGoldenPath = "testdata/heal_golden.txt"
 
-func readHealGolden(t *testing.T) map[string]string {
+// readGolden parses a golden file of "case digest" lines; blank lines and
+// "#" comments are skipped.
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(healGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,14 @@ func hashTrace(t *testing.T, h hash.Hash, rec *repro.TraceRecorder) string {
 	if rec.Dropped() > 0 {
 		t.Fatal("trace recorder overflowed")
 	}
-	if err := obs.WriteJSONL(h, obs.Canonical(rec.Events())); err != nil {
+	return hashEvents(t, h, rec.Events())
+}
+
+// hashEvents appends the canonical form of events to h and returns the hex
+// digest.
+func hashEvents(t *testing.T, h hash.Hash, events []repro.TraceEvent) string {
+	t.Helper()
+	if err := obs.WriteJSONL(h, obs.Canonical(events)); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -142,7 +151,7 @@ func sessionDigest(t *testing.T, problem string, parallel bool) (string, *repro.
 // coloring. Each case must reproduce its digest on the sequential and the
 // worker-pool engine.
 func TestHealGoldenTraces(t *testing.T) {
-	want := readHealGolden(t)
+	want := readGolden(t, healGoldenPath)
 	cases := 0
 	check := func(name, got string, parallel bool) {
 		t.Helper()
