@@ -56,6 +56,12 @@ trace-golden:
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -trace /tmp/seq.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -parallel -trace /tmp/pool.jsonl
 	/tmp/dgp-trace diff /tmp/seq.jsonl /tmp/pool.jsonl
+	for pa in "mis parallel" "vcolor interleaved"; do \
+		set -- $$pa; \
+		/tmp/dgp-run -problem $$1 -alg $$2 $(TMPL_RUN) -trace /tmp/tmpl-seq.jsonl > /dev/null && \
+		/tmp/dgp-run -problem $$1 -alg $$2 $(TMPL_RUN) -parallel -trace /tmp/tmpl-pool.jsonl > /dev/null && \
+		/tmp/dgp-trace diff /tmp/tmpl-seq.jsonl /tmp/tmpl-pool.jsonl || exit 1; \
+	done
 	/tmp/dgp-run $(HEAL_SESSION) -trace /tmp/session-seq.jsonl > /dev/null
 	/tmp/dgp-run $(HEAL_SESSION) -parallel -trace /tmp/session-pool.jsonl > /dev/null
 	/tmp/dgp-trace diff /tmp/session-seq.jsonl /tmp/session-pool.jsonl
@@ -128,6 +134,10 @@ perf-baseline:
 	$(GO) run ./cmd/dgp-bench -exp scale -nodes 100000 -bench-out testdata/perf/baseline > /dev/null
 	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4 -bench-out testdata/perf/baseline > /dev/null
 	$(GO) run ./cmd/dgp-perf validate testdata/perf/baseline
+
+# The multi-lane template stages' trace parity runs: mis/parallel (the
+# Parallel section) and vcolor/interleaved (the Interleaved alternation).
+TMPL_RUN = -graph gnp -n 120 -seed 9 -flips 12
 
 # A damaging update stream: each batch inserts a clique among eight nodes,
 # so the stale MIS gains in-set conflicts that the session must heal.

@@ -3,25 +3,33 @@
 // from stages — a reasonable initialization algorithm, a measure-uniform
 // algorithm, a clean-up algorithm, and a reference algorithm — and the four
 // templates (Simple, Consecutive, Interleaved, Parallel) are generic
-// combinators over those stages.
+// combinators over those stages. All four are one machine, Sequence's: the
+// Parallel Template is the Consecutive Template whose budgeted stage runs
+// the measure-uniform algorithm alongside part 1 of the reference, and the
+// Interleaved Template is initialization followed by one stage alternating
+// the measure-uniform algorithm and the reference. Every stage with a
+// positive Budget runs at most that many rounds; a Budget of 0 or less runs
+// it until every node outputs or yields.
 //
 // Stage machines are written exactly like ordinary per-node machines; the
 // combinators multiplex their messages onto the underlying network by
 // stamping each message's runtime.Out.Tag header with the lane and stage it
-// belongs to, and check the header of every delivery before handing the
-// engine's inbox view unchanged to the stage, so the composed algorithms use
-// their components as black boxes, as the paper prescribes. A stage builds
-// its broadcasts in a reusable per-node outbox (StageCtx.Broadcast and
-// friends), so steady-state template rounds allocate nothing per message.
+// belongs to (lane 0 for an ordinary stage, lanes 1 and 2 for the two
+// children of a multi-lane stage), and check the header of every delivery
+// before handing the engine's inbox view unchanged to the stage, so the
+// composed algorithms use their components as black boxes, as the paper
+// prescribes. A stage builds its broadcasts in a reusable per-node outbox
+// (StageCtx.Broadcast and friends), so steady-state template rounds
+// allocate nothing per message.
 // A per-node shared memory (created once per node, visible to every stage of
 // that node) carries the knowledge the paper assumes persists across stages,
 // such as which neighbors have terminated with which outputs.
 //
-// Per-node state comes from per-run slabs (NodeSlab): Sequence and
-// Consecutive carve every node's machine and outbox, and the mis and
-// matching memory factories every node's memory and neighbor tables, from
-// a few allocations made when the engine builds node 0 and released with
-// the run's machines. A template factory therefore serves one run at a
+// Per-node state comes from per-run slabs (NodeSlab): the templates carve
+// every node's machine and outbox, and the mis and matching memory
+// factories every node's memory and neighbor tables, from a few
+// allocations made when the engine builds node 0 and released with the
+// run's machines. A template factory therefore serves one run at a
 // time, and runs in sequence may share it.
 package core
 
@@ -51,11 +59,16 @@ type Stage struct {
 	Name string
 	// Budget caps the stage at a fixed number of rounds; after the budget
 	// elapses every node still in the stage is forcibly yielded (the paper's
-	// "interrupted after a given number of rounds"). Budget 0 means the
-	// stage runs until every node outputs or yields.
+	// "interrupted after a given number of rounds"). A Budget of 0 or less
+	// means the stage runs until every node outputs or yields.
 	Budget int
 	// New builds the per-node machine for this stage.
 	New StageFactory
+	// lanes marks the multi-lane stages of Interleaved and Parallel: their
+	// machines step two child stages on lanes 1 and 2 under the stage's
+	// index, so they tag their own messages, check their own inbox and
+	// annotate their own span. Every other stage runs on lane 0.
+	lanes bool
 }
 
 // MemoryFactory creates the per-node shared memory visible to all stages of
@@ -69,6 +82,9 @@ type StageCtx struct {
 	mem        any
 	stageRound int
 	yielded    bool
+	// stage is the index of the stage in its Sequence, under which a
+	// multi-lane stage tags its lanes' messages.
+	stage uint16
 	// outbox backs Broadcast/BroadcastTo/BroadcastActive: the node's
 	// reusable []Out, rebuilt in place by each call. The engine reads the
 	// slice a Send returned only until the round's routing is done.

@@ -6,6 +6,9 @@ import "repro/internal/runtime"
 // they can take weak pointers into a run's machine slab.
 type SeqMachine = seqMachine
 
-// MachineMemory returns the shared memory of a machine built by Sequence,
-// Simple or Consecutive.
+// MachineMemory returns the shared memory of a machine built by any
+// template.
 func MachineMemory(m runtime.Machine) any { return m.(*seqMachine).mem }
+
+// MachineStages returns the stage list of a machine built by any template.
+func MachineStages(m runtime.Machine) []Stage { return m.(*seqMachine).stages }

@@ -115,22 +115,69 @@ func (r *sizeRecorder) Intercept(round, from, to int, payload runtime.Payload, b
 	return fate
 }
 
+// beacon is a stage machine that broadcasts payload every round (nothing
+// when payload is nil) and yields after its first round.
+func beacon(payload any) core.StageFactory {
+	return func(runtime.NodeInfo, any, any) core.StageMachine { return beaconMachine{payload} }
+}
+
+type beaconMachine struct{ payload any }
+
+func (m beaconMachine) Send(c *core.StageCtx) []runtime.Out {
+	if m.payload == nil {
+		return nil
+	}
+	return c.Broadcast(m.payload)
+}
+
+func (beaconMachine) Receive(c *core.StageCtx, _ []runtime.Msg) { c.Yield() }
+
 // TestGarbageFailsStageAsUntagged: a fault.Garbage corruption keeps the
 // tagged message's size, header included, and arrives untagged, so the
-// template fails the stage with the "untagged message" protocol error.
+// template fails with the "untagged message" protocol error, naming the
+// stage, the parallel section or the interleaved lane that received it.
 func TestGarbageFailsStageAsUntagged(t *testing.T) {
-	adv := &sizeRecorder{inner: fault.New(fault.Policy{Seed: 5, Corrupt: 1})}
-	_, err := runtime.Run(runtime.Config{Graph: graph.Ring(6), Factory: sendOnce(sized13{}), Adversary: adv})
-	if !errors.Is(err, runtime.ErrProtocol) || !strings.Contains(err.Error(), "untagged message") ||
-		!strings.Contains(err.Error(), `stage "send-once"`) {
-		t.Fatalf("err = %v, want the untagged-message ErrProtocol of stage send-once", err)
+	parallel := func(b, u any) runtime.Factory {
+		return core.Parallel(core.ParallelSpec{
+			B:        core.Stage{Name: "b", Budget: 1, New: beacon(b)},
+			U:        beacon(u),
+			R1:       beacon(nil),
+			R1Budget: func(runtime.NodeInfo) int { return 2 },
+			R2:       beacon(nil),
+		})
 	}
-	if len(adv.garbage) == 0 {
-		t.Fatal("no message was corrupted")
+	interleaved := func(b, u, r any) runtime.Factory {
+		return core.Interleaved(nil, core.Stage{Name: "b", Budget: 1, New: beacon(b)}, beacon(u), beacon(r),
+			func(runtime.NodeInfo) []int { return []int{1} })
 	}
-	for k, size := range adv.garbage {
-		if adv.reports[k] != 21 || size != 21 {
-			t.Fatalf("corruption %d: reported %d bits, Garbage %d; want the tagged 21", k, adv.reports[k], size)
-		}
+	msg := sized13{}
+	for _, tc := range []struct {
+		name    string
+		factory runtime.Factory
+		want    string
+	}{
+		{"sequence", sendOnce(msg), `(stage "send-once")`},
+		{"parallel init", parallel(msg, nil), `(stage "b")`},
+		{"parallel section", parallel(nil, msg), "(parallel section)"},
+		{"interleaved init", interleaved(msg, nil, nil), `(stage "b")`},
+		{"interleaved lane 1", interleaved(nil, msg, nil), "(interleaved lane 1)"},
+		{"interleaved lane 2", interleaved(nil, nil, msg), "(interleaved lane 2)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			adv := &sizeRecorder{inner: fault.New(fault.Policy{Seed: 5, Corrupt: 1})}
+			_, err := runtime.Run(runtime.Config{Graph: graph.Ring(6), Factory: tc.factory, Adversary: adv})
+			if !errors.Is(err, runtime.ErrProtocol) || !strings.Contains(err.Error(), "untagged message") ||
+				!strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want the untagged-message ErrProtocol ending in %s", err, tc.want)
+			}
+			if len(adv.garbage) == 0 {
+				t.Fatal("no message was corrupted")
+			}
+			for k, size := range adv.garbage {
+				if adv.reports[k] != 21 || size != 21 {
+					t.Fatalf("corruption %d: reported %d bits, Garbage %d; want the tagged 21", k, adv.reports[k], size)
+				}
+			}
+		})
 	}
 }

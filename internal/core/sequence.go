@@ -14,7 +14,11 @@ import (
 // time.
 //
 // The Simple Template (paper Algorithm 2) is Sequence(mem, B, R); the
-// Consecutive Template (Algorithm 3) is Sequence(mem, B, U(budget), C, R).
+// Consecutive Template (Algorithm 3) is Sequence(mem, B, U(budget), C, R);
+// the Parallel Template (Algorithm 5) is the same with a section stage
+// running U alongside reference part 1 in place of U(budget); and the
+// Interleaved Template (Algorithm 4) is Sequence(mem, B, the alternation
+// of U and R).
 //
 // The nodes' sequence machines and degree-sized outboxes are carved from a
 // per-run slab (NodeSlab), so the factory serves one run at a time.
@@ -59,7 +63,7 @@ func (s *seqMachine) enter(k int) {
 		s.machine = nil
 	}
 	// The outbox outlives the stage: it is the node's, not the stage's.
-	s.ctx = StageCtx{mem: s.mem, outbox: s.ctx.outbox}
+	s.ctx = StageCtx{mem: s.mem, stage: uint16(k), outbox: s.ctx.outbox}
 	s.pending = false
 }
 
@@ -68,10 +72,11 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Fail(fmt.Errorf("%w: core: node %d active past final stage without output", runtime.ErrProtocol, env.ID()))
 		return nil
 	}
+	st := &s.stages[s.cur]
 	// One span note per round in the stage: summaries then see the stage's
 	// true round span and node-rounds, not just its entry.
-	if env.Tracing() {
-		annotateStage(env, s.stages[s.cur].Name, s.stages[s.cur].Budget)
+	if env.Tracing() && !st.lanes {
+		annotateStage(env, st.Name, st.Budget)
 	}
 	s.ctx.env = env
 	s.ctx.stageRound++
@@ -79,14 +84,19 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 	if s.ctx.yielded {
 		s.pending = true
 	}
+	if st.lanes {
+		return outs
+	}
 	return wrapOuts(outs, 0, uint16(s.cur))
 }
 
 func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	s.ctx.env = env
-	if err := checkInbox(inbox, 0, uint16(s.cur)); err != nil {
-		env.Fail(fmt.Errorf("%w (stage %q)", err, s.stages[s.cur].Name))
-		return
+	if st := &s.stages[s.cur]; !st.lanes {
+		if err := checkInbox(inbox, 0, uint16(s.cur)); err != nil {
+			env.Fail(fmt.Errorf("%w (stage %q)", err, st.Name))
+			return
+		}
 	}
 	// A node whose stage already yielded this round still receives the
 	// round's messages (the model delivers them), but the stage is done; we
@@ -105,4 +115,36 @@ func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	if s.pending || (budget > 0 && s.ctx.stageRound >= budget) {
 		s.enter(s.cur + 1)
 	}
+}
+
+// The lanes of a multi-lane stage's two children; an ordinary stage runs
+// on lane 0.
+const (
+	laneU uint8 = 1
+	laneR uint8 = 2
+)
+
+// lane is one child stage of a multi-lane stage: its machine and its own
+// context, stepped under the lane's tag and the enclosing stage's index.
+type lane struct {
+	m   StageMachine
+	ctx StageCtx
+}
+
+func newLane(f StageFactory, info runtime.NodeInfo, pred, mem any) lane {
+	return lane{m: f(info, pred, mem), ctx: StageCtx{mem: mem}}
+}
+
+// send steps the lane's Send in the enclosing stage's round c and tags the
+// messages with the lane id.
+func (l *lane) send(c *StageCtx, id uint8) []runtime.Out {
+	l.ctx.env = c.env
+	l.ctx.stageRound++
+	return wrapOuts(l.m.Send(&l.ctx), id, c.stage)
+}
+
+// receive steps the lane's Receive in the enclosing stage's round c.
+func (l *lane) receive(c *StageCtx, inbox []runtime.Msg) {
+	l.ctx.env = c.env
+	l.m.Receive(&l.ctx, inbox)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mis"
 	"repro/internal/predict"
 	"repro/internal/runtime"
+	"repro/internal/tree"
 )
 
 // takeRun calls Take for every node of an n-node run in index order, with
@@ -115,6 +116,35 @@ func TestConsecutiveFactoryReuse(t *testing.T) {
 		if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Rounds != want.Rounds || got.Messages != want.Messages {
 			t.Fatalf("run %d (n=%d): reused factory gave %d rounds %d msgs, fresh %d rounds %d msgs",
 				i, r.g.N(), got.Rounds, got.Messages, want.Rounds, want.Messages)
+		}
+	}
+}
+
+// TestTemplatesShareStageList: every node of a run gets the same stage
+// list, so a Consecutive-based factory builds it once per run rather than
+// once per node — including the rooted-tree coloring, whose reference
+// stages are sized by D.
+func TestTemplatesShareStageList(t *testing.T) {
+	g := graph.Line(6)
+	for _, tc := range []struct {
+		name    string
+		factory runtime.Factory
+	}{
+		{"tree/consecutive", tree.ConsecutiveColoring(tree.RootAt(g, 0))},
+		{"tree/parallel", tree.ParallelColoring(tree.RootAt(g, 0))},
+		{"mis/parallel", mis.ParallelColoring()},
+		{"mis/interleaved", mis.InterleavedDecomp(1)},
+	} {
+		var first []core.Stage
+		for i := range g.N() {
+			info := runtime.NodeInfo{Index: i, ID: g.ID(i), NeighborIDs: g.NeighborsByID(i), N: g.N(), D: g.D(), Delta: g.MaxDegree()}
+			stages := core.MachineStages(tc.factory(info, 0))
+			if i == 0 {
+				first = stages
+			} else if len(stages) != len(first) || &stages[0] != &first[0] {
+				t.Errorf("%s: node %d has its own stage list", tc.name, i)
+				break
+			}
 		}
 	}
 }

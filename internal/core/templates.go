@@ -4,8 +4,8 @@ import "repro/internal/runtime"
 
 // This file holds the two sequential template combinators of the paper's
 // framework. Together with Interleaved (interleaved.go) and Parallel
-// (parallel.go) they are the four templates of Section 7, each implemented
-// exactly once; the problem packages instantiate them with their stages and
+// (parallel.go), which are built on them, they are the four templates of
+// Section 7; the problem packages instantiate them with their stages and
 // register the instantiations in internal/problem.
 
 // Simple composes the Simple Template (paper Algorithm 2, Observation 7): a
@@ -25,7 +25,9 @@ type ConsecutiveSpec struct {
 	Mem MemoryFactory
 	// B is the reasonable initialization stage.
 	B Stage
-	// U builds the budgeted measure-uniform stage.
+	// U builds the budgeted measure-uniform stage; Sequence interrupts it
+	// after budget rounds. Parallel passes its section here: U and
+	// reference part 1 side by side for exactly budget rounds.
 	U func(budget int) Stage
 	// Budget computes the measure-uniform budget r(n, Δ, d) + c'(n, Δ, d)
 	// from static information (all nodes compute the same value, as the

@@ -230,9 +230,14 @@ func Solo(r *Rooted, stage core.Stage) runtime.Factory {
 // rooted-tree initialization, Algorithm 6 for the reference's round bound
 // (rounded to even so the interruption point is extendable), the one-round
 // clean-up, then the GPS 3-coloring and its two-round conversion run as two
-// sequential reference stages.
+// sequential reference stages. The reference list is built once per
+// identifier bound D, so every node of a run shares one stage list.
 func ConsecutiveColoring(r *Rooted) runtime.Factory {
 	cleanup := Cleanup()
+	var (
+		refD int
+		ref  []core.Stage
+	)
 	return core.Consecutive(core.ConsecutiveSpec{
 		Mem:    NewMemory(r),
 		B:      Init(),
@@ -241,10 +246,13 @@ func ConsecutiveColoring(r *Rooted) runtime.Factory {
 		Align:  2,
 		C:      &cleanup,
 		Ref: func(info runtime.NodeInfo) []core.Stage {
-			return []core.Stage{
-				{Name: "tree/cv", Budget: CVRounds(info.D), New: ColoringPart1()},
-				{Name: "tree/conv", New: MISFrom3Coloring()},
+			if ref == nil || info.D != refD {
+				refD, ref = info.D, []core.Stage{
+					{Name: "tree/cv", Budget: CVRounds(info.D), New: ColoringPart1()},
+					{Name: "tree/conv", New: MISFrom3Coloring()},
+				}
 			}
+			return ref
 		},
 	})
 }
