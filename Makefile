@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# mis and matching ride along: their stages reuse per-node outboxes and
+# neighbour tables, which the Parallel worker pool must not share.
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/
+	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/ ./internal/mis/ ./internal/matching/
 
 # The problem/algorithm registry (also the README's algorithm table).
 list:
@@ -47,23 +49,27 @@ vet:
 	$(GO) vet ./...
 
 # The trace determinism contract, checked through the CLIs: a fixed-seed
-# chaotic self-healing run and the damaging session stream each record the
-# same event stream on both engines (durations excepted — `dgp-trace diff`
-# canonicalizes them away).
+# chaotic self-healing run, the multi-lane template stages and the damaging
+# session stream each record the same event stream on both engines
+# (durations excepted — `dgp-trace diff` canonicalizes them away), and the
+# session stream must actually heal.
 trace-golden:
 	$(GO) build -o /tmp/dgp-run ./cmd/dgp-run
 	$(GO) build -o /tmp/dgp-trace ./cmd/dgp-trace
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -trace /tmp/seq.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -parallel -trace /tmp/pool.jsonl
 	/tmp/dgp-trace diff /tmp/seq.jsonl /tmp/pool.jsonl
+	/tmp/dgp-trace summarize /tmp/seq.jsonl
 	for pa in "mis parallel" "vcolor interleaved"; do \
 		set -- $$pa; \
 		/tmp/dgp-run -problem $$1 -alg $$2 $(TMPL_RUN) -trace /tmp/tmpl-seq.jsonl > /dev/null && \
 		/tmp/dgp-run -problem $$1 -alg $$2 $(TMPL_RUN) -parallel -trace /tmp/tmpl-pool.jsonl > /dev/null && \
 		/tmp/dgp-trace diff /tmp/tmpl-seq.jsonl /tmp/tmpl-pool.jsonl || exit 1; \
 	done
-	/tmp/dgp-run $(HEAL_SESSION) -trace /tmp/session-seq.jsonl > /dev/null
+	/tmp/dgp-run $(HEAL_SESSION) -trace /tmp/session-seq.jsonl > /tmp/session-seq.txt
+	cat /tmp/session-seq.txt
 	/tmp/dgp-run $(HEAL_SESSION) -parallel -trace /tmp/session-pool.jsonl > /dev/null
+	grep -q 'recoveryRounds=[1-9]' /tmp/session-seq.txt || { echo 'trace-golden: the update stream never healed'; exit 1; }
 	/tmp/dgp-trace diff /tmp/session-seq.jsonl /tmp/session-pool.jsonl
 
 # Disabled tracing must stay near-zero-cost: the steady-state allocation

@@ -18,7 +18,7 @@
 // and the from-scratch rung.
 //
 // Each incremental step runs under a robustness envelope: a per-step round
-// cap and deadline, and a bounded degradation ladder on failure. Attempt 0
+// cap and a bounded degradation ladder on failure. Attempt 0
 // heals from the plain carve; attempt k (1 ≤ k < MaxRetries) widens the
 // carve by a 2k-hop ball around the residual before healing (the damage
 // estimate was too tight); the final attempt abandons incrementality and
@@ -39,7 +39,6 @@ package dynamic
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/heal"
@@ -87,9 +86,6 @@ type Options struct {
 	// StepMaxRounds caps each incremental attempt's rounds (0 = engine
 	// default). The final from-scratch rung always runs uncapped.
 	StepMaxRounds int
-	// StepDeadline bounds each incremental attempt's per-round wall time
-	// (0 = none). The final from-scratch rung always runs without one.
-	StepDeadline time.Duration
 	// Adversary, when non-nil, supplies the engine fault adversary for
 	// incremental attempt `attempt` of step `step` (counted over applied
 	// batches, 0-based). Return nil for a fault-free attempt. The final
@@ -340,7 +336,6 @@ func (s *Session) healStep(rep *StepReport, advFor func(attempt int) runtime.Adv
 			// fault-free, uncapped — chaos is transient, and a session must
 			// degrade to a from-scratch run rather than wedge.
 			cfg.MaxRounds = s.opts.StepMaxRounds
-			cfg.RoundDeadline = s.opts.StepDeadline
 			cfg.Adversary = advFor(attempt)
 		}
 		healed, res, err := heal.Extend(cfg, s.spec, partial)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linegraph"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 )
 
 // tentativeProbe runs the fault-tolerant line-graph coloring standalone on
@@ -57,7 +58,7 @@ func TestTentativeColoringFaultTolerance(t *testing.T) {
 		res, err := runtime.Run(runtime.Config{
 			Graph:     g,
 			Factory:   tentativeProbe(),
-			Crashes:   crashes,
+			Adversary: fault.Schedule(crashes),
 			MaxRounds: total + 8, // the Linial countdown exceeds the engine default
 		})
 		if err != nil {

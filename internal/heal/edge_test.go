@@ -7,6 +7,7 @@ import (
 	"repro/internal/heal"
 	"repro/internal/mis"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 	"repro/internal/verify"
 )
 
@@ -123,9 +124,9 @@ func TestRunRecoveredSingleNode(t *testing.T) {
 	}
 
 	report, err = heal.RunRecovered(runtime.Config{
-		Graph:   g,
-		Factory: mis.SimpleGreedy(),
-		Crashes: map[int]int{0: 1},
+		Graph:     g,
+		Factory:   mis.SimpleGreedy(),
+		Adversary: fault.Schedule{0: 1},
 	}, misSpec())
 	if err != nil {
 		t.Fatal(err)

@@ -230,9 +230,9 @@ func TestRunRecoveredMatchingAndVColor(t *testing.T) {
 func TestRunRecoveredConfigError(t *testing.T) {
 	g := graph.Line(3)
 	_, err := heal.RunRecovered(runtime.Config{
-		Graph:   g,
-		Factory: mis.SimpleGreedy(),
-		Crashes: map[int]int{9: 1},
+		Graph:     g,
+		Factory:   mis.SimpleGreedy(),
+		Adversary: fault.Schedule{9: 1},
 	}, misSpec())
 	if err == nil {
 		t.Fatal("config error swallowed by recovery")

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linegraph"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 )
 
 // probeMemory hosts the stage with every edge live and captures the result.
@@ -130,7 +131,7 @@ func TestLineGraphFaultTolerance(t *testing.T) {
 			}
 		}
 		res, err := runtime.Run(runtime.Config{
-			Graph: g, Factory: probeFactory(), Crashes: crashes,
+			Graph: g, Factory: probeFactory(), Adversary: fault.Schedule(crashes),
 			MaxRounds: total + 32,
 		})
 		if err != nil {

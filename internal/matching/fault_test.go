@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 )
 
 // ecProbe runs the fault-tolerant edge coloring standalone on matching's
@@ -100,7 +101,7 @@ func TestEdgeColoringFaultTolerance(t *testing.T) {
 		res, err := runtime.Run(runtime.Config{
 			Graph:     g,
 			Factory:   ecProbe(),
-			Crashes:   crashes,
+			Adversary: fault.Schedule(crashes),
 			MaxRounds: total + 8, // the Linial countdown exceeds the engine default
 		})
 		if err != nil {

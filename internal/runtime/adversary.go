@@ -2,8 +2,9 @@ package runtime
 
 // Adversary is the engine's fault-injection hook (the chaos layer). A
 // non-nil Config.Adversary is consulted once per in-flight message during
-// routing and may drop it, deliver extra copies, or corrupt its payload; it
-// may also contribute a crash schedule merged with Config.Crashes.
+// routing and may drop it, deliver extra copies, or corrupt its payload. Its
+// crash schedule is the run's only one; fault.Schedule is the fault-free
+// adversary for a fixed schedule.
 //
 // Determinism contract: the engine calls Crashes exactly once at the start
 // of Run and then calls Intercept from a single goroutine, in the engine's
@@ -16,11 +17,11 @@ package runtime
 // call sequence is consumed statefully, an adversary value is single-run:
 // create a fresh one per Run.
 type Adversary interface {
-	// Crashes returns a crash schedule for an n-node graph (node index to
-	// 1-based crash round), merged with Config.Crashes; when both specify a
-	// node, the earlier round wins. It may return nil. Entries must satisfy
-	// the same validity rules as Config.Crashes (index in [0, n), round
-	// >= 1); violations abort the run with a config error.
+	// Crashes returns the run's crash schedule for an n-node graph: node
+	// index to the 1-based round at the start of which the node crashes.
+	// From that round on the node sends nothing, receives nothing, and never
+	// outputs. It may return nil. Every index must be in [0, n) and every
+	// round >= 1; anything else is a config error (ErrConfig).
 	Crashes(n int) map[int]int
 	// Intercept returns the fate of one message about to be delivered in
 	// the given round. from and to are node identifiers; bits is the

@@ -44,16 +44,11 @@ type Config struct {
 	// MaxRounds caps the execution; 0 selects 8*n + 64, a generous bound for
 	// every algorithm in this repository (all are O(n)-round or better).
 	MaxRounds int
-	// Crashes maps node index to the round (1-based) at the start of which
-	// the node crashes: from that round on it sends nothing, receives
-	// nothing, and never outputs. Used to exercise fault-tolerant parts.
-	// Crash rounds must be >= 1 and node indices must be in [0, Graph.N());
-	// anything else is a config error.
-	Crashes map[int]int
-	// Adversary, when non-nil, intercepts message routing and may contribute
-	// a crash schedule; see the Adversary interface for the determinism
-	// contract. Adversary state is consumed by the run: pass a fresh value
-	// per Run.
+	// Adversary, when non-nil, intercepts message routing and supplies the
+	// run's crash schedule — the only way faults enter a run (a fixed
+	// schedule is fault.Schedule); see the Adversary interface for the
+	// determinism contract. Adversary state is consumed by the run: pass a
+	// fresh value per Run.
 	Adversary Adversary
 	// RoundDeadline, when positive, bounds the wall-clock time of each send
 	// and receive phase; a phase that exceeds it aborts the run with an
@@ -100,20 +95,6 @@ type RoundStats struct {
 	Bits int
 	// Active is the number of nodes that participated in this round.
 	Active int
-	// Dropped counts messages the adversary dropped this round, and
-	// DroppedBits their sized payload bits. Dropped traffic is reported
-	// here, never in Messages/Bits: delivered and injected/denied traffic
-	// are separate ledgers, so chaos runs don't inflate bandwidth numbers.
-	Dropped     int
-	DroppedBits int
-	// Injected counts extra duplicate copies the adversary injected this
-	// round (the copies beyond the first), and InjectedBits their sized
-	// bits. The copies are real deliveries, so they also appear in
-	// Messages/Bits; these fields isolate the adversary's share.
-	Injected     int
-	InjectedBits int
-	// Corrupted counts deliveries whose payload the adversary replaced.
-	Corrupted int
 	// Shards holds the per-shard delivery ledgers of a round on two or more
 	// lanes, from Shards or Partition (nil otherwise — a single lane's
 	// ledger is the global fields above). Indexed by shard; the slice is
@@ -122,8 +103,8 @@ type RoundStats struct {
 }
 
 // ShardRoundStats is one shard's slice of a round's delivery ledgers
-// (RoundStats.Shards). Delivered/Injected split exactly like the global
-// fields: injected copies are real deliveries and appear in both. Boundary
+// (RoundStats.Shards). Injected counts the adversary's extra duplicate
+// copies: they are real deliveries, so they appear in Delivered too. Boundary
 // fields ledger the traffic this shard exported across the partition cut —
 // the per-round cost of the exchange phase.
 type ShardRoundStats struct {
@@ -139,8 +120,9 @@ type ShardRoundStats struct {
 // returns its partial Result together with the error: Rounds is then the
 // last completed round, and Outputs and TerminatedAt hold the nodes that
 // terminated by the end of it — the settled state at that round boundary.
-// The traffic counters and MaxMsgBits include the aborted round's
-// deliveries.
+// Messages and MaxMsgBits include the aborted round's deliveries. Fault
+// totals are not kept here: the trace's EvFault events carry them (see
+// obs.Summarize).
 type Result struct {
 	// Rounds is the round in which the last node terminated (0 if the graph
 	// is empty), or, when the run aborted, the last round it completed.
@@ -160,25 +142,17 @@ type Result struct {
 	// BitSized (the run is LOCAL-only) or the run delivered no messages at
 	// all, so no bandwidth claim can be made either way.
 	MaxMsgBits int
-	// Dropped/DroppedBits total the adversary-dropped messages and their
-	// sized bits; dropped traffic never counts toward Messages. Injected
-	// totals the extra duplicate copies (which, being real deliveries, do
-	// count toward Messages as well); Corrupted totals corrupted
-	// deliveries. See the matching RoundStats fields.
-	Dropped     int
-	DroppedBits int
-	Injected    int
-	Corrupted   int
 }
 
 // ErrNoTermination is returned when MaxRounds elapses with active nodes.
 var ErrNoTermination = errors.New("runtime: algorithm did not terminate within MaxRounds")
 
 // ErrConfig wraps every configuration-validation error from Run (nil graph
-// or factory, mismatched predictions, invalid crash schedules): the run
-// never started. Callers distinguishing misconfiguration from runtime
-// failure — e.g. the recovery wrapper, which can heal a damaged run but not
-// an impossible one — test errors.Is(err, ErrConfig).
+// or factory, mismatched predictions, a bad shard count or partition, an
+// invalid Adversary crash schedule): the run never started. Callers
+// distinguishing misconfiguration from runtime failure — e.g. the recovery
+// wrapper, which can heal a damaged run but not an impossible one — test
+// errors.Is(err, ErrConfig).
 var ErrConfig = errors.New("runtime: invalid configuration")
 
 // ErrCongestViolation is returned when MaxMessageBits is set and a message
@@ -233,10 +207,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Predictions != nil && len(cfg.Predictions) != n {
 		return nil, fmt.Errorf("%w: %d predictions for %d nodes", ErrConfig, len(cfg.Predictions), n)
 	}
-	crashes := cfg.Crashes
-	if err := validCrashes(crashes, n, "Config.Crashes"); err != nil {
-		return nil, err
-	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("%w: Config.Shards = %d; must be >= 0", ErrConfig, cfg.Shards)
 	}
@@ -252,22 +222,11 @@ func Run(cfg Config) (*Result, error) {
 	} else if cfg.Shards > 1 {
 		part = shard.Contiguous(n, cfg.Shards)
 	}
+	var crashes map[int]int
 	if cfg.Adversary != nil {
-		adv := cfg.Adversary.Crashes(n)
-		if err := validCrashes(adv, n, "Adversary.Crashes"); err != nil {
+		crashes = cfg.Adversary.Crashes(n)
+		if err := validCrashes(crashes, n); err != nil {
 			return nil, err
-		}
-		if len(adv) > 0 {
-			merged := make(map[int]int, len(crashes)+len(adv))
-			for i, r := range crashes {
-				merged[i] = r
-			}
-			for i, r := range adv {
-				if cur, ok := merged[i]; !ok || r < cur {
-					merged[i] = r
-				}
-			}
-			crashes = merged
 		}
 	}
 	maxRounds := cfg.MaxRounds
@@ -356,17 +315,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if cfg.Stats != nil {
 			cfg.Stats(RoundStats{
-				Round:        round,
-				Duration:     dur,
-				Messages:     st.roundMsgs,
-				Bits:         st.roundBits,
-				Active:       activeThisRound,
-				Dropped:      st.roundDropped,
-				DroppedBits:  st.roundDroppedBits,
-				Injected:     st.roundInjected,
-				InjectedBits: st.roundInjectedBits,
-				Corrupted:    st.roundCorrupted,
-				Shards:       st.shardStats,
+				Round:    round,
+				Duration: dur,
+				Messages: st.roundMsgs,
+				Bits:     st.roundBits,
+				Active:   activeThisRound,
+				Shards:   st.shardStats,
 			})
 		}
 	}
@@ -435,7 +389,7 @@ func (st *state) traceAbort(round int, res *Result, err error, phase string, dra
 // Entries are examined in ascending index order so a schedule with several
 // invalid entries reports the same one every run — the chaos parity tests
 // compare error strings across engine modes.
-func validCrashes(crashes map[int]int, n int, source string) error {
+func validCrashes(crashes map[int]int, n int) error {
 	idxs := make([]int, 0, len(crashes))
 	for i := range crashes {
 		idxs = append(idxs, i)
@@ -444,10 +398,10 @@ func validCrashes(crashes map[int]int, n int, source string) error {
 	for _, i := range idxs {
 		r := crashes[i]
 		if i < 0 || i >= n {
-			return fmt.Errorf("%w: %s[%d] = %d; node index out of range [0, %d)", ErrConfig, source, i, r, n)
+			return fmt.Errorf("%w: Adversary.Crashes[%d] = %d; node index out of range [0, %d)", ErrConfig, i, r, n)
 		}
 		if r < 1 {
-			return fmt.Errorf("%w: %s[%d] = %d; crash rounds are 1-based and must be >= 1", ErrConfig, source, i, r)
+			return fmt.Errorf("%w: Adversary.Crashes[%d] = %d; crash rounds are 1-based and must be >= 1", ErrConfig, i, r)
 		}
 	}
 	return nil
@@ -546,15 +500,9 @@ type state struct {
 	// payload seen (-1 before any), and whether an unsized payload was seen.
 	maxMsgBits int
 	localOnly  bool
-	// roundMsgs/roundBits accumulate the current round's Stats record;
-	// the round* adversary counters feed the delivered-vs-injected split.
-	roundMsgs         int
-	roundBits         int
-	roundDropped      int
-	roundDroppedBits  int
-	roundInjected     int
-	roundInjectedBits int
-	roundCorrupted    int
+	// roundMsgs/roundBits accumulate the current round's Stats record.
+	roundMsgs int
+	roundBits int
 	// trace is the attached event recorder (nil = tracing disabled).
 	trace *obs.Recorder
 
@@ -890,30 +838,22 @@ func (st *state) account(b, count int, res *Result) {
 }
 
 // interceptFate is the adversary verdict core of the counting pass: one
-// Intercept call for a message of b bits, the drop/corrupt/inject ledgers,
-// and the fault events. It returns the delivered copy count (0 = dropped),
+// Intercept call for a message of b bits and its fault events, the run's
+// only fault ledger. It returns the delivered copy count (0 = dropped),
 // the delivered size, and swap, the replacement payload (nil when
 // untouched), which recordFate keeps for the placement pass. A replacement
 // is delivered untagged, so it is sized as an untagged payload.
 //
 //dgp:hotpath
-func (st *state) interceptFate(round, from, j int, payload Payload, b int, res *Result) (int, int, Payload) {
+func (st *state) interceptFate(round, from, j int, payload Payload, b int) (int, int, Payload) {
 	tr := st.trace
 	to := st.envs[j].info.ID
 	fate := st.cfg.Adversary.Intercept(round, from, to, payload, b)
 	if fate.Drop {
-		// Dropped traffic goes on its own ledger, never into Messages/Bits:
-		// the bandwidth numbers stay delivery-only.
-		db := 0
-		if b > 0 {
-			db = b
-		}
-		st.roundDropped++
-		st.roundDroppedBits += db
-		res.Dropped++
-		res.DroppedBits += db
+		// Dropped traffic is booked only by its fault event, never into
+		// Messages/Bits: the bandwidth numbers stay delivery-only.
 		if tr != nil {
-			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "drop", Value: int64(db), Aux: int64(to)})
+			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "drop", Value: int64(max(b, 0)), Aux: int64(to)})
 		}
 		return 0, b, nil
 	}
@@ -921,8 +861,6 @@ func (st *state) interceptFate(round, from, j int, payload Payload, b int, res *
 	if fate.Payload != nil {
 		b = MessageBits(0, fate.Payload)
 		swap = fate.Payload
-		st.roundCorrupted++
-		res.Corrupted++
 		if tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "corrupt", Aux: int64(to)})
 		}
@@ -930,14 +868,9 @@ func (st *state) interceptFate(round, from, j int, payload Payload, b int, res *
 	copies := 1
 	if fate.Extra > 0 {
 		copies += fate.Extra
-		st.roundInjected += fate.Extra
-		res.Injected += fate.Extra
 		if tr != nil {
 			tr.Emit(obs.Event{Type: obs.EvFault, Round: round, Node: from, Name: "duplicate", Value: int64(fate.Extra), Aux: int64(to)})
 		}
-	}
-	if copies > 1 && b > 0 {
-		st.roundInjectedBits += (copies - 1) * b
 	}
 	return copies, b, swap
 }

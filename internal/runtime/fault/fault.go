@@ -58,12 +58,25 @@ type Policy struct {
 	// 1-based crash round — and ShardLoss draws additional losses at random:
 	// each shard independently goes dark with that probability at a seeded
 	// round in [1, ShardLossBy] (DefaultHorizon when zero). Shard-loss
-	// crashes merge with per-node Crash draws; the earlier round wins, per
-	// the engine's schedule-merge rule.
+	// crashes merge with per-node Crash draws; the earlier round wins.
 	Partition   *shard.Partition
 	LoseShards  map[int]int
 	ShardLoss   float64
 	ShardLossBy int
+}
+
+// Schedule is a fixed crash schedule as a fault-free runtime.Adversary:
+// node index to the 1-based round at the start of which the node crashes.
+// It never touches a message, so unlike Chaos it holds no run state and one
+// value may serve any number of runs.
+type Schedule map[int]int
+
+// Crashes implements runtime.Adversary: the schedule itself.
+func (s Schedule) Crashes(n int) map[int]int { return s }
+
+// Intercept implements runtime.Adversary: every message is delivered as sent.
+func (Schedule) Intercept(round, from, to int, payload runtime.Payload, bits int) runtime.Fate {
+	return runtime.Fate{}
 }
 
 // Stats counts the faults a Chaos actually injected.

@@ -113,9 +113,9 @@ func TestCrashedNodeNeverReentersFrontier(t *testing.T) {
 		label := fmt.Sprintf("parallel=%v", parallel)
 		g := graph.GNP(n, 0.3, rand.New(rand.NewSource(4)))
 		res, err, events, logs := runFrontier(t, runtime.Config{
-			Graph:    g,
-			Parallel: parallel,
-			Crashes:  map[int]int{crashIdx: crashRound},
+			Graph:     g,
+			Parallel:  parallel,
+			Adversary: fault.Schedule{crashIdx: crashRound},
 		}, 6)
 		if err != nil {
 			t.Fatal(err)

@@ -23,16 +23,18 @@ import (
 const engineGoldenPath = "testdata/engine_golden.txt"
 
 // goldenDigest hashes everything the determinism contract covers for one
-// run: the error surface, every Result field, and the canonical trace with
-// the shard-count-dependent ledger events dropped.
+// run: the error surface, every Result field, the fault totals of the trace
+// summary, and the canonical trace with the shard-count-dependent ledger
+// events dropped.
 func goldenDigest(t *testing.T, res *runtime.Result, err error, trace []obs.Event) string {
 	t.Helper()
 	h := sha256.New()
 	if err != nil {
 		fmt.Fprintf(h, "err %s\n", err)
 	} else {
+		f := obs.Summarize(trace).Runs[0]
 		fmt.Fprintf(h, "rounds %d msgs %d maxbits %d dropped %d/%d injected %d corrupted %d\n",
-			res.Rounds, res.Messages, res.MaxMsgBits, res.Dropped, res.DroppedBits, res.Injected, res.Corrupted)
+			res.Rounds, res.Messages, res.MaxMsgBits, f.Dropped, f.DroppedBits, f.Duplicated, f.Corrupted)
 		for i, out := range res.Outputs {
 			fmt.Fprintf(h, "%d %T %v %d\n", i, out, out, res.TerminatedAt[i])
 		}

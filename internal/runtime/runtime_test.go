@@ -209,7 +209,7 @@ func TestCrashStopsSending(t *testing.T) {
 		Factory: func(runtime.NodeInfo, any) runtime.Machine {
 			return &crashProbe{stopAt: 5, heard: map[int]int{}}
 		},
-		Crashes: map[int]int{0: 3}, // node index 0 crashes at round 3
+		Adversary: fault.Schedule{0: 3}, // node index 0 crashes at round 3
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -544,9 +544,9 @@ func TestCrashRoundValidation(t *testing.T) {
 	g := graph.Line(3)
 	for _, bad := range []int{0, -1, -100} {
 		_, err := runtime.Run(runtime.Config{
-			Graph:   g,
-			Factory: echoFactory(2),
-			Crashes: map[int]int{1: bad},
+			Graph:     g,
+			Factory:   echoFactory(2),
+			Adversary: fault.Schedule{1: bad},
 		})
 		if err == nil {
 			t.Errorf("crash round %d accepted; want config error", bad)
@@ -554,9 +554,9 @@ func TestCrashRoundValidation(t *testing.T) {
 	}
 	// Round 1 is the earliest legal crash: the node does nothing at all.
 	res, err := runtime.Run(runtime.Config{
-		Graph:   g,
-		Factory: echoFactory(2),
-		Crashes: map[int]int{1: 1},
+		Graph:     g,
+		Factory:   echoFactory(2),
+		Adversary: fault.Schedule{1: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -613,10 +613,10 @@ func TestRandomizedParityWithCrashes(t *testing.T) {
 		}
 		run := func(parallel bool) *runtime.Result {
 			res, err := runtime.Run(runtime.Config{
-				Graph:    g,
-				Factory:  echoFactory(limit),
-				Crashes:  crashes,
-				Parallel: parallel,
+				Graph:     g,
+				Factory:   echoFactory(limit),
+				Adversary: fault.Schedule(crashes),
+				Parallel:  parallel,
 			})
 			if err != nil {
 				t.Fatalf("trial %d parallel=%v: %v", trial, parallel, err)

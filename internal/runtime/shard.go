@@ -266,9 +266,6 @@ func (st *state) compactLanes() {
 //dgp:hotpath
 func (st *state) routeLanes(round int, res *Result) {
 	st.roundMsgs, st.roundBits = 0, 0
-	st.roundDropped, st.roundDroppedBits = 0, 0
-	st.roundInjected, st.roundInjectedBits = 0, 0
-	st.roundCorrupted = 0
 	for k := range st.shardStats {
 		st.shardStats[k] = ShardRoundStats{}
 	}
@@ -304,7 +301,7 @@ func (st *state) routeLanes(round int, res *Result) {
 					delivered++
 					continue
 				}
-				copies, cb := st.recordFate(sl, round, from, j, e.bcast, b, res)
+				copies, cb := st.recordFate(sl, round, from, j, e.bcast, b)
 				if copies > 0 {
 					st.count(sl, j, copies, cb)
 					st.account(cb, copies, res)
@@ -326,7 +323,7 @@ func (st *state) routeLanes(round int, res *Result) {
 				}
 				copies, b := 1, MessageBits(out.Tag, out.Payload)
 				if adv != nil {
-					copies, b = st.recordFate(sl, round, from, j, out.Payload, b, res)
+					copies, b = st.recordFate(sl, round, from, j, out.Payload, b)
 					if copies == 0 {
 						continue
 					}
@@ -371,8 +368,8 @@ func (st *state) routeLanes(round int, res *Result) {
 // which corruption may have changed.
 //
 //dgp:hotpath
-func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, b int, res *Result) (int, int) {
-	copies, cb, swap := st.interceptFate(round, from, j, payload, b, res)
+func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, b int) (int, int) {
+	copies, cb, swap := st.interceptFate(round, from, j, payload, b)
 	ls.fateCopies = append(ls.fateCopies, int32(copies))
 	ls.fateSwap = append(ls.fateSwap, swap)
 	return copies, cb

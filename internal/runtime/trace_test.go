@@ -113,6 +113,26 @@ func TestTraceBasicRun(t *testing.T) {
 	}
 }
 
+// withCrashes adds a fixed crash schedule to an adversary's own; a node in
+// both crashes at the earlier round.
+type withCrashes struct {
+	runtime.Adversary
+	fixed fault.Schedule
+}
+
+func (a withCrashes) Crashes(n int) map[int]int {
+	out := map[int]int{}
+	for i, r := range a.Adversary.Crashes(n) {
+		out[i] = r
+	}
+	for i, r := range a.fixed {
+		if cur, ok := out[i]; !ok || r < cur {
+			out[i] = r
+		}
+	}
+	return out
+}
+
 // TestTraceParityAcrossEngines: with a fixed seed — including a chaos
 // adversary and a crash schedule — the sequential and pool engines emit
 // identical event streams modulo wall-clock durations.
@@ -123,12 +143,14 @@ func TestTraceParityAcrossEngines(t *testing.T) {
 		run := func(parallel bool) []obs.Event {
 			rec := obs.NewRecorder(0)
 			_, err := runtime.Run(runtime.Config{
-				Graph:     g,
-				Factory:   annotatingFactory(4),
-				Parallel:  parallel,
-				Trace:     rec,
-				Crashes:   map[int]int{3: 2},
-				Adversary: fault.New(fault.Policy{Seed: int64(trial + 1), Drop: 0.2, Duplicate: 0.15, Corrupt: 0.1}),
+				Graph:    g,
+				Factory:  annotatingFactory(4),
+				Parallel: parallel,
+				Trace:    rec,
+				Adversary: withCrashes{
+					Adversary: fault.New(fault.Policy{Seed: int64(trial + 1), Drop: 0.2, Duplicate: 0.15, Corrupt: 0.1}),
+					fixed:     fault.Schedule{3: 2},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -287,15 +309,18 @@ func (a *dropEveryOther) Intercept(round, from, to int, payload runtime.Payload,
 }
 
 // TestDeliveredVsInjectedAccounting: Messages/Bits count only delivered
-// traffic; dropped and duplicated traffic appear on their own ledgers.
+// traffic; dropped and duplicated traffic appear only in the trace's fault
+// ledger.
 func TestDeliveredVsInjectedAccounting(t *testing.T) {
 	g := graph.Clique(6)
 	var stats []runtime.RoundStats
+	rec := obs.NewRecorder(1 << 12)
 	res, err := runtime.Run(runtime.Config{
 		Graph:     g,
 		Factory:   echoFactory(3),
 		Adversary: &dropEveryOther{},
 		Stats:     func(rs runtime.RoundStats) { stats = append(stats, rs) },
+		Trace:     rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,31 +329,26 @@ func TestDeliveredVsInjectedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped == 0 || res.Injected == 0 {
-		t.Fatalf("adversary had no effect: %+v", res)
+	f := obs.Summarize(rec.Events()).Runs[0]
+	if f.Dropped == 0 || f.Duplicated == 0 {
+		t.Fatalf("adversary had no effect: %+v", f)
 	}
 	// Conservation: intercepted = delivered originals + dropped. Delivered
 	// includes the injected duplicates on top of surviving originals.
-	if res.Messages-res.Injected+res.Dropped != clean.Messages {
+	if int64(res.Messages)-f.Duplicated+f.Dropped != int64(clean.Messages) {
 		t.Fatalf("ledger mismatch: delivered=%d injected=%d dropped=%d, clean=%d",
-			res.Messages, res.Injected, res.Dropped, clean.Messages)
+			res.Messages, f.Duplicated, f.Dropped, clean.Messages)
 	}
 	// echoPayload is 16 bits; dropped bits account each dropped message.
-	if res.DroppedBits != 16*res.Dropped {
-		t.Fatalf("DroppedBits = %d, want %d", res.DroppedBits, 16*res.Dropped)
+	if f.DroppedBits != 16*f.Dropped {
+		t.Fatalf("DroppedBits = %d, want %d", f.DroppedBits, 16*f.Dropped)
 	}
-	var sumDropped, sumInjected, sumMsgs int
+	sumMsgs := 0
 	for _, rs := range stats {
-		sumDropped += rs.Dropped
-		sumInjected += rs.Injected
 		sumMsgs += rs.Messages
-		if rs.InjectedBits != 16*rs.Injected {
-			t.Fatalf("round %d InjectedBits = %d, want %d", rs.Round, rs.InjectedBits, 16*rs.Injected)
-		}
 	}
-	if sumDropped != res.Dropped || sumInjected != res.Injected || sumMsgs != res.Messages {
-		t.Fatalf("per-round stats do not sum to totals: dropped %d/%d injected %d/%d msgs %d/%d",
-			sumDropped, res.Dropped, sumInjected, res.Injected, sumMsgs, res.Messages)
+	if sumMsgs != res.Messages || f.Messages != int64(res.Messages) {
+		t.Fatalf("delivered ledgers disagree: per-round %d, trace %d, result %d", sumMsgs, f.Messages, res.Messages)
 	}
 }
 

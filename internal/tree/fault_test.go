@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 	"repro/internal/tree"
 	"repro/internal/verify"
 )
@@ -80,7 +81,7 @@ func TestGPSFaultTolerance(t *testing.T) {
 				crashes[i] = 1 + rng.Intn(total+1)
 			}
 		}
-		res, err := runtime.Run(runtime.Config{Graph: r.G, Factory: cvProbe(r), Crashes: crashes})
+		res, err := runtime.Run(runtime.Config{Graph: r.G, Factory: cvProbe(r), Adversary: fault.Schedule(crashes)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

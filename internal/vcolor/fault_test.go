@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/runtime"
+	"repro/internal/runtime/fault"
 	"repro/internal/vcolor"
 	"repro/internal/verify"
 )
@@ -26,9 +27,9 @@ func TestLinialFaultTolerance(t *testing.T) {
 			}
 		}
 		res, err := runtime.Run(runtime.Config{
-			Graph:   g,
-			Factory: vcolor.Solo(vcolor.LinialStandalone()),
-			Crashes: crashes,
+			Graph:     g,
+			Factory:   vcolor.Solo(vcolor.LinialStandalone()),
+			Adversary: fault.Schedule(crashes),
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -130,26 +130,14 @@ func polyEval(coeffs []int, x, q int) int {
 	return v
 }
 
-// ApplyReduction exposes one Linial reduction step for reuse by other
-// packages (the Δ-doubling uniform MIS reference runs the same reduction on
-// participant subgraphs).
+// ApplyReduction applies one Linial reduction step: given this node's color
+// and the colors its live neighbors announced this round (all < step.K), it
+// returns the new color in [0, Q²) — a point (x, f(x)) of this node's
+// polynomial that lies on no neighbor's polynomial. Such a point exists
+// because distinct polynomials of degree ≤ T agree on at most T of the Q
+// evaluation points and Δ·T < Q. Exported for the line-graph edge coloring
+// and the Δ-doubling uniform MIS reference, which run the same reduction.
 func ApplyReduction(step ReductionStep, color int, nbrColors []int) int {
-	return reduceColor(step, color, nbrColors)
-}
-
-// SmallestFreeColor exposes the final-reduction recoloring rule: the least
-// 0-based color below palette missing from used.
-func SmallestFreeColor(used []int, palette int) int {
-	return smallestFree(used, palette)
-}
-
-// reduceColor applies one reduction step: given this node's color and the
-// colors its live neighbors announced this round (all < step.K), it returns
-// the new color in [0, Q²) — a point (x, f(x)) of this node's polynomial that
-// lies on no neighbor's polynomial. Such a point exists because distinct
-// polynomials of degree ≤ T agree on at most T of the Q evaluation points and
-// Δ·T < Q.
-func reduceColor(step ReductionStep, color int, nbrColors []int) int {
 	mine := polyCoeffs(color, step.Q, step.T)
 	others := make([][]int, 0, len(nbrColors))
 	for _, c := range nbrColors {

@@ -97,13 +97,13 @@ func (m *linialMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	delta := c.Info().Delta
 	switch {
 	case r <= len(m.steps):
-		m.color = reduceColor(m.steps[r-1], m.color, heard)
+		m.color = ApplyReduction(m.steps[r-1], m.color, heard)
 	default:
 		// Final reduction: one color class per round, from kStar-1 down to
 		// Δ+1 (0-based), recolors to the smallest free color in [0, Δ].
 		target := m.kStar - (r - len(m.steps))
 		if m.color == target && target > delta {
-			m.color = smallestFree(heard, delta+1)
+			m.color = SmallestFreeColor(heard, delta+1)
 		}
 	}
 	if r >= m.total {
@@ -112,8 +112,9 @@ func (m *linialMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	}
 }
 
-// smallestFree returns the least value in [0, palette) missing from used.
-func smallestFree(used []int, palette int) int {
+// SmallestFreeColor is the final-reduction recoloring rule: the least value
+// in [0, palette) missing from used.
+func SmallestFreeColor(used []int, palette int) int {
 	taken := make([]bool, palette)
 	for _, u := range used {
 		if u >= 0 && u < palette {

@@ -62,11 +62,11 @@ func (m *listMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	r := c.StageRound()
 	switch {
 	case r <= len(m.steps):
-		m.color = reduceColor(m.steps[r-1], m.color, heard)
+		m.color = ApplyReduction(m.steps[r-1], m.color, heard)
 	case r <= m.base:
 		target := m.kStar - (r - len(m.steps))
 		if m.color == target && target > delta {
-			m.color = smallestFree(heard, delta+1)
+			m.color = SmallestFreeColor(heard, delta+1)
 		}
 	default:
 		// Repair round j handles color class Δ+1-j (0-based: delta+1-j).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/runtime/fault"
 )
 
 // checkMIS asserts out is a maximal independent set of g.
@@ -140,8 +141,8 @@ func TestRecoverOption(t *testing.T) {
 func TestRecoverPreservesConfigErrors(t *testing.T) {
 	g := repro.Line(3)
 	_, err := repro.RunProblem(g, "mis", "simple", nil, repro.Options{
-		Recover: true,
-		Crashes: map[int]int{5: 1}, // out of range
+		Recover:   true,
+		Adversary: fault.Schedule{5: 1}, // out of range
 	})
 	if err == nil {
 		t.Fatal("out-of-range crash index accepted in recovery mode")

@@ -265,7 +265,7 @@ func traceRunMeta(d *problem.Descriptor, alg string, g *Graph, aux any, preds an
 }
 
 // RunProblemWithRecovery executes the problem's Simple Template on g under
-// the options' fault knobs (Adversary, Crashes, RoundDeadline) and
+// the options' fault knobs (Adversary, RoundDeadline) and
 // self-heals: if the run aborts or produces an invalid solution, the damaged
 // outputs are carved down to an extendable partial solution (invalid values,
 // conflicting pairs, and unjustified decisions demoted) and the Simple

@@ -169,8 +169,6 @@ type Options struct {
 	// Seed drives the seeded algorithms (Luby, the decomposition
 	// reference); ignored by deterministic ones.
 	Seed int64
-	// Crashes maps node index to crash round, for fault-injection runs.
-	Crashes map[int]int
 	// CongestBits, when positive, enforces the CONGEST model: every message
 	// must be size-accounted and at most this many bits. Algorithms built on
 	// LOCAL-size floods (collect, decomposition) will abort under it.
@@ -179,9 +177,10 @@ type Options struct {
 	// instrumentation record (wall time, deliveries, payload bits, active
 	// nodes). Purely observational.
 	OnRoundStats func(RoundStats)
-	// Adversary, when non-nil, injects faults into message routing and may
-	// crash nodes; see NewChaos for the seeded policy implementation. An
-	// adversary value is consumed by the run — pass a fresh one per call.
+	// Adversary, when non-nil, injects faults into message routing and
+	// supplies the run's crash schedule, its only one; see NewChaos for the
+	// seeded policy implementation. An adversary value is consumed by the
+	// run — pass a fresh one per call.
 	Adversary Adversary
 	// RoundDeadline, when positive, aborts the run with a diagnostic error
 	// if any send or receive phase exceeds it (a watchdog against wedged
@@ -303,7 +302,6 @@ func buildConfig(g *Graph, factory runtime.Factory, preds []any, opts Options) r
 		Shards:         opts.Shards,
 		Partition:      opts.Partition,
 		MaxRounds:      opts.MaxRounds,
-		Crashes:        opts.Crashes,
 		MaxMessageBits: opts.CongestBits,
 		Stats:          opts.OnRoundStats,
 		Adversary:      opts.Adversary,

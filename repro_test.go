@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/runtime/fault"
 )
 
 // These tests exercise the public facade end to end: every exported runner,
@@ -146,7 +147,7 @@ func TestCrashInjectionSurfacesAsError(t *testing.T) {
 	// stay consistent) are tested at the runtime and vcolor layers.
 	g := repro.Ring(12)
 	if _, err := repro.RunProblem(g, "mis", "greedy", nil, repro.Options{
-		Crashes: map[int]int{0: 1},
+		Adversary: fault.Schedule{0: 1},
 	}); err == nil {
 		t.Error("crashed node should make full-solution verification fail")
 	}
