@@ -11,9 +11,11 @@ test:
 	$(GO) test ./...
 
 # mis and matching ride along: their stages reuse per-node outboxes and
-# neighbour tables, which the Parallel worker pool must not share.
+# neighbour tables, which the Parallel worker pool must not share. ecolor
+# and decomp ride along too: their collect stage and cluster solve run on
+# core's per-node row slices (core.Collect, core.Component).
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/ ./internal/mis/ ./internal/matching/
+	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/ ./internal/mis/ ./internal/matching/ ./internal/ecolor/ ./internal/decomp/
 
 # The problem/algorithm registry (also the README's algorithm table).
 list:

@@ -1,28 +1,16 @@
 // dgp-lint runs the repository's domain analyzers (see internal/analysis)
-// over Go packages. Two modes:
-//
-// Standalone multichecker (the usual entry point, also `make lint`):
+// over Go packages as a standalone multichecker (also `make lint`):
 //
 //	go run ./cmd/dgp-lint ./...
 //
 // exits 0 when the tree is clean, 1 when any analyzer reports a finding,
 // 2 on operational errors. `-list` prints the suite.
-//
-// As a vet tool, so the checks ride go vet's caching and package graph:
-//
-//	go build -o dgp-lint ./cmd/dgp-lint
-//	go vet -vettool=$PWD/dgp-lint ./...
-//
-// In that mode the go command invokes the binary once per package with a
-// JSON config file argument (the x/tools unitchecker protocol, implemented
-// here on the standard library); see vettool.go.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/suite"
@@ -34,34 +22,17 @@ func main() {
 
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("dgp-lint", flag.ContinueOnError)
-	versionFlag := fs.String("V", "", "print version (go vet protocol)")
-	flagsFlag := fs.Bool("flags", false, "print flag JSON (go vet protocol)")
 	listFlag := fs.Bool("list", false, "list the analyzers and exit")
-	jsonUnused := fs.Bool("json", false, "accepted for go vet compatibility")
-	_ = jsonUnused
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *versionFlag != "":
-		// The go command hashes this line into its action cache key; bump it
-		// whenever analyzer behavior changes so cached vet verdicts go stale.
-		fmt.Println("dgp-lint version v2.0.0")
-		return 0
-	case *flagsFlag:
-		fmt.Println("[]")
-		return 0
-	case *listFlag:
+	if *listFlag {
 		for _, a := range suite.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vettoolMain(rest[0])
-	}
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

@@ -77,9 +77,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
-// NewPass assembles a Pass; drivers (the multichecker, the vettool mode, and
-// analysistest) use it to run one analyzer over one loaded package.
-func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
+// newPass assembles a Pass; RunPackages uses it to run one analyzer over
+// one loaded package.
+func newPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
 	return &Pass{
 		Analyzer:  a,
 		Fset:      fset,

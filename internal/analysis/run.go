@@ -48,7 +48,7 @@ func RunPackages(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, err
 		var diags []Diagnostic
 		sink := func(d Diagnostic) { diags = append(diags, d) }
 		for _, a := range analyzers {
-			pass := NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, sink)
+			pass := newPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, sink)
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 			}

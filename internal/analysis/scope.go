@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -117,13 +116,4 @@ func HasBitsMethod(t types.Type) bool {
 		}
 	}
 	return false
-}
-
-// FuncName returns the name of the function or method declaration enclosing
-// pos-bearing node n when n is a *ast.FuncDecl, else "".
-func FuncName(n ast.Node) string {
-	if fd, ok := n.(*ast.FuncDecl); ok {
-		return fd.Name.Name
-	}
-	return ""
 }

@@ -1,6 +1,5 @@
-// Package suite assembles the dgp-lint analyzer set. cmd/dgp-lint (both
-// the standalone multichecker and the go vet -vettool mode) and any future
-// driver consume the suite from here.
+// Package suite assembles the dgp-lint analyzer set. cmd/dgp-lint and any
+// future driver consume the suite from here.
 package suite
 
 import (

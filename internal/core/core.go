@@ -21,6 +21,13 @@
 // prescribes. A stage builds its broadcasts in a reusable per-node outbox
 // (StageCtx.Broadcast and friends), so steady-state template rounds
 // allocate nothing per message.
+//
+// Collect is the one collect-and-solve reference stage: it floods Rows for
+// n rounds and hands the learned rows to a problem's Finish hook, with the
+// round bound CollectBound. The mis, matching and edge-coloring collect
+// references instantiate it, and Component, which rebuilds the graph a row
+// set describes, also serves the cluster solve of internal/decomp.
+//
 // A per-node shared memory (created once per node, visible to every stage of
 // that node) carries the knowledge the paper assumes persists across stages,
 // such as which neighbors have terminated with which outputs.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/graph"
 	"repro/internal/runtime"
 )
 
@@ -352,32 +351,16 @@ func (m *machine) decide(c *core.StageCtx) {
 	}
 	dec := decideMsg{Phase: m.phase, Center: m.center, Win: win}
 	if win {
-		ids := make([]int, 0, len(m.rows))
-		for id := range m.rows {
-			ids = append(ids, id)
+		rows := make([]core.Row, 0, len(m.rows))
+		for id, r := range m.rows {
+			rows = append(rows, core.Row{ID: id, Nbrs: r.Nbrs})
 		}
-		sort.Ints(ids)
-		idx := make(map[int]int, len(ids))
-		for i, id := range ids {
-			idx[id] = i
-		}
-		b := graph.NewBuilder(len(ids))
-		b.SetDomain(c.Info().D)
-		for i, id := range ids {
-			b.SetID(i, id)
-		}
-		for i, id := range ids {
-			for _, nb := range m.rows[id].Nbrs {
-				if j, ok := idx[nb]; ok && i < j {
-					b.AddEdge(i, j)
-				}
-			}
-		}
-		sub := b.MustBuild()
+		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+		sub := core.Component(c.Info().D, rows)
 		bitsOut := exact.GreedyMISByID(sub)
-		dec.MIS = make(map[int]int, len(ids))
-		for i, id := range ids {
-			dec.MIS[id] = bitsOut[i]
+		dec.MIS = make(map[int]int, len(rows))
+		for i, r := range rows {
+			dec.MIS[r.ID] = bitsOut[i]
 		}
 	}
 	m.decided = true

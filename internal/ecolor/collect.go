@@ -1,119 +1,52 @@
 package ecolor
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/runtime"
 )
 
-// ecRow is one node's state for the collect-and-solve reference: its
-// uncolored-edge endpoints and the colors already used at it.
-type ecRow struct {
-	ID        int
-	Uncolored []int
-	Used      []int
-}
-
-// ecRows carries newly learned rows (LOCAL-size).
-type ecRows struct{ Rows []ecRow }
-
-// Bits sizes the flooding batch for CONGEST accounting (LOCAL-size by
-// design; honest accounting keeps Result.Bits meaningful).
-func (m ecRows) Bits() int {
-	n := 0
-	for _, r := range m.Rows {
-		n += 32 * (1 + len(r.Uncolored) + len(r.Used))
-	}
-	return n
-}
-
-// Collect returns the collect-and-solve reference for (2Δ−1)-edge coloring:
-// n rounds of flooding the uncolored subgraph's structure and the colors
-// already used at each node, then every node extends the coloring
-// canonically — uncolored edges in ascending (min ID, max ID) order each get
-// the smallest color free at both endpoints — and outputs its edge vector.
-// Bound: CollectBound(info) = n+1.
+// Collect returns the collect-and-solve reference for (2Δ−1)-edge coloring
+// (core.Collect): n rounds of flooding the uncolored subgraph's structure,
+// each row carrying the colors already used at its node, then every node
+// extends the coloring canonically (finishColoring) and outputs its edge
+// vector. Bound: core.CollectBound(info) = n+1.
 func Collect() core.Stage {
-	return core.Stage{
-		Name: "ecolor/collect",
-		New: func(info runtime.NodeInfo, pred any, mem any) core.StageMachine {
-			return &collectMachine{mem: mem.(*Memory), rows: map[int]ecRow{}}
-		},
-	}
+	return core.Collect("ecolor/collect", core.CollectHooks{
+		Nbrs:   func(c *core.StageCtx) []int { return c.Memory().(*Memory).Uncolored(c.Info()) },
+		Extra:  func(c *core.StageCtx) []int { return c.Memory().(*Memory).UsedColors() },
+		Finish: finishColoring,
+	})
 }
 
-// CollectBound is the round bound of Collect.
-func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
-
-type collectMachine struct {
-	mem   *Memory
-	rows  map[int]ecRow
-	fresh []ecRow
-}
-
-func (m *collectMachine) Send(c *core.StageCtx) []runtime.Out {
+// finishColoring extends the coloring canonically over the learned uncolored
+// subgraph — uncolored edges in ascending (min ID, max ID) order each get the
+// smallest color in {1, ..., 2Δ−1} free at both endpoints, a row's Extra
+// being the colors already used at its node — and outputs this node's edge
+// vector.
+func finishColoring(c *core.StageCtx, rows []core.Row) {
 	info := c.Info()
-	if c.StageRound() == 1 {
-		mine := ecRow{ID: info.ID, Uncolored: m.mem.Uncolored(info), Used: m.mem.UsedColors()}
-		m.rows[info.ID] = mine
-		m.fresh = []ecRow{mine}
-	}
-	if c.StageRound() > info.N {
-		m.solveAndOutput(c)
-		return nil
-	}
-	if len(m.fresh) == 0 {
-		return nil
-	}
-	payload := ecRows{Rows: m.fresh}
-	m.fresh = nil
-	return c.BroadcastTo(m.mem.Uncolored(info), payload)
-}
-
-func (m *collectMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	for _, msg := range inbox {
-		r, ok := msg.Payload.(ecRows)
-		if !ok {
-			continue
-		}
-		for _, row := range r.Rows {
-			if _, seen := m.rows[row.ID]; !seen {
-				m.rows[row.ID] = row
-				m.fresh = append(m.fresh, row)
-			}
+	mem := c.Memory().(*Memory)
+	idx := make(map[int]int, len(rows))
+	used := make([]map[int]bool, len(rows))
+	for i, r := range rows {
+		idx[r.ID] = i
+		used[i] = make(map[int]bool, len(r.Extra))
+		for _, col := range r.Extra {
+			used[i][col] = true
 		}
 	}
-	sort.Slice(m.fresh, func(i, j int) bool { return m.fresh[i].ID < m.fresh[j].ID })
-}
-
-// solveAndOutput extends the coloring canonically over the known uncolored
-// subgraph and outputs this node's edge vector.
-func (m *collectMachine) solveAndOutput(c *core.StageCtx) {
-	info := c.Info()
-	used := make(map[int]map[int]bool, len(m.rows))
-	for id, r := range m.rows {
-		set := make(map[int]bool, len(r.Used))
-		for _, col := range r.Used {
-			set[col] = true
-		}
-		used[id] = set
-	}
+	// An edge joins rows a < b. Rows are sorted by ID and each row's Nbrs
+	// ascend (Uncolored keeps the order of NeighborIDs), so the edges come
+	// out in ascending (min ID, max ID) order.
 	type edge struct{ a, b int }
 	var edges []edge
-	for id, r := range m.rows {
-		for _, nb := range r.Uncolored {
-			if _, known := m.rows[nb]; known && id < nb {
-				edges = append(edges, edge{a: id, b: nb})
+	for a, r := range rows {
+		for _, nb := range r.Nbrs {
+			if b, known := idx[nb]; known && a < b {
+				edges = append(edges, edge{a: a, b: b})
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
 	colors := make(map[edge]int, len(edges))
 	for _, e := range edges {
 		for col := 1; col <= 2*info.Delta-1; col++ {
@@ -125,16 +58,21 @@ func (m *collectMachine) solveAndOutput(c *core.StageCtx) {
 			}
 		}
 	}
-	for _, nb := range m.mem.Uncolored(info) {
-		e := edge{a: info.ID, b: nb}
-		if nb < info.ID {
-			e = edge{a: nb, b: info.ID}
+	me := idx[info.ID]
+	for _, nb := range mem.Uncolored(info) {
+		other, known := idx[nb]
+		if !known {
+			continue
+		}
+		e := edge{a: me, b: other}
+		if other < me {
+			e = edge{a: other, b: me}
 		}
 		if col, ok := colors[e]; ok {
-			m.mem.SetColor(info, nb, col)
+			mem.SetColor(info, nb, col)
 		}
 	}
-	c.Output(m.mem.OutputVector(info))
+	c.Output(mem.OutputVector(info))
 }
 
 // Solo runs a single edge-coloring stage as a complete algorithm. The
@@ -165,7 +103,7 @@ func ConsecutiveCollect() runtime.Factory {
 		Mem:    NewMemory,
 		B:      Base(),
 		U:      MeasureUniform,
-		Budget: func(info runtime.NodeInfo) int { return CollectBound(info) + 1 },
+		Budget: func(info runtime.NodeInfo) int { return core.CollectBound(info) + 1 },
 		Align:  2,
 		C:      &cleanup,
 		Ref:    core.FixedRef(Collect()),

@@ -379,34 +379,3 @@ func GreedyMatchingByID(g *graph.Graph) []int {
 	}
 	return out
 }
-
-// MaxMatchingSize returns the size of a maximum matching of g, via simple
-// augmenting-path search (Hungarian-style for general graphs using
-// Blossom-free DFS is not exact on odd cycles, so this uses exhaustive
-// branch and bound on edges; intended for small component analysis).
-func MaxMatchingSize(g *graph.Graph) (int, error) {
-	if g.N() > 2*MaxHammingNodes {
-		return 0, fmt.Errorf("%w: n=%d", ErrTooLarge, g.N())
-	}
-	edges := g.Edges()
-	used := make([]bool, g.N())
-	var rec func(idx, size int) int
-	rec = func(idx, size int) int {
-		best := size
-		for i := idx; i < len(edges); i++ {
-			e := edges[i]
-			if used[e[0]] || used[e[1]] {
-				continue
-			}
-			used[e[0]], used[e[1]] = true, true
-			if r := rec(i+1, size+1); r > best {
-				best = r
-			}
-			used[e[0]], used[e[1]] = false, false
-			// Pruning: skipping a free edge entirely is covered by later
-			// iterations; continue scanning.
-		}
-		return best
-	}
-	return rec(0, 0), nil
-}

@@ -186,26 +186,3 @@ func TestQuickHammingUpperBound(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMaxMatchingSize(t *testing.T) {
-	cases := []struct {
-		g    *graph.Graph
-		want int
-	}{
-		{graph.Line(5), 2},
-		{graph.Line(6), 3},
-		{graph.Ring(7), 3},
-		{graph.Star(9), 1},
-		{graph.Clique(6), 3},
-		{graph.CompleteBipartite(3, 5), 3},
-	}
-	for i, c := range cases {
-		got, err := exact.MaxMatchingSize(c.g)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got != c.want {
-			t.Errorf("case %d: matching size %d, want %d", i, got, c.want)
-		}
-	}
-}

@@ -405,56 +405,3 @@ func (g *Graph) Diameter() int {
 	}
 	return diam
 }
-
-// LineGraph returns the line graph L(G): one node per edge of g, adjacent
-// when the edges share an endpoint. Node i of L(G) corresponds to g.Edges()[i]
-// and its identifier is i+1.
-func (g *Graph) LineGraph() *Graph {
-	m := len(g.edges)
-	b := NewBuilder(m)
-	// Group edge ids by endpoint, then connect all pairs within a group.
-	byNode := make([][]int, g.n)
-	for i, e := range g.edges {
-		byNode[e[0]] = append(byNode[e[0]], i)
-		byNode[e[1]] = append(byNode[e[1]], i)
-	}
-	for _, group := range byNode {
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				b.AddEdge(group[i], group[j])
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// DegeneracyOrder returns a node ordering (indices) obtained by repeatedly
-// removing a minimum-degree node, together with the degeneracy.
-func (g *Graph) DegeneracyOrder() ([]int, int) {
-	deg := make([]int, g.n)
-	removed := make([]bool, g.n)
-	for i := 0; i < g.n; i++ {
-		deg[i] = g.Degree(i)
-	}
-	order := make([]int, 0, g.n)
-	degeneracy := 0
-	for len(order) < g.n {
-		best, bestDeg := -1, g.n+1
-		for i := 0; i < g.n; i++ {
-			if !removed[i] && deg[i] < bestDeg {
-				best, bestDeg = i, deg[i]
-			}
-		}
-		if bestDeg > degeneracy {
-			degeneracy = bestDeg
-		}
-		removed[best] = true
-		order = append(order, best)
-		for _, v := range g.Neighbors(best) {
-			if !removed[v] {
-				deg[v]--
-			}
-		}
-	}
-	return order, degeneracy
-}

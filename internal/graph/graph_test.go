@@ -185,41 +185,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestLineGraph(t *testing.T) {
-	// L(P4) = P3; L(K3) = K3; L(star) = clique.
-	if lg := graph.Line(4).LineGraph(); lg.N() != 3 || lg.M() != 2 {
-		t.Errorf("L(P4): n=%d m=%d, want 3, 2", lg.N(), lg.M())
-	}
-	if lg := graph.Ring(3).LineGraph(); lg.N() != 3 || lg.M() != 3 {
-		t.Errorf("L(C3): n=%d m=%d, want 3, 3", lg.N(), lg.M())
-	}
-	if lg := graph.Star(5).LineGraph(); lg.M() != 4*3/2 {
-		t.Errorf("L(K1,4): m=%d, want 6", lg.M())
-	}
-}
-
-func TestDegeneracy(t *testing.T) {
-	cases := []struct {
-		g    *graph.Graph
-		want int
-	}{
-		{graph.Line(10), 1},
-		{graph.Ring(10), 2},
-		{graph.Clique(6), 5},
-		{graph.Grid2D(5, 5), 2},
-		{graph.Star(9), 1},
-	}
-	for i, c := range cases {
-		order, d := c.g.DegeneracyOrder()
-		if d != c.want {
-			t.Errorf("case %d: degeneracy %d, want %d", i, d, c.want)
-		}
-		if len(order) != c.g.N() {
-			t.Errorf("case %d: order has %d nodes", i, len(order))
-		}
-	}
-}
-
 func TestShuffleIDsPreservesStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := graph.Grid2D(5, 5)
@@ -324,27 +289,6 @@ func TestQuickInducedSubgraphComponents(t *testing.T) {
 				if seen[u] != seen[int(v)] {
 					return false
 				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickLineGraphDegrees property-checks the line-graph degree identity
-// deg_{L(G)}(uv) = deg(u) + deg(v) - 2.
-func TestQuickLineGraphDegrees(t *testing.T) {
-	f := func(seed int64, rawN uint8) bool {
-		n := int(rawN%20) + 2
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.GNP(n, 0.3, rng)
-		lg := g.LineGraph()
-		for e, ends := range g.Edges() {
-			want := g.Degree(ends[0]) + g.Degree(ends[1]) - 2
-			if lg.Degree(e) != want {
-				return false
 			}
 		}
 		return true

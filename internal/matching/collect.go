@@ -7,14 +7,16 @@ import (
 )
 
 // Collect returns the collect-and-solve reference for maximal matching
-// (core.Collect): n rounds of adjacency flooding, then every node outputs
-// its partner in the canonical greedy-by-identifier maximal matching of its
-// component. The round bound CollectBound(info) = n+1 is computable by all
-// nodes, as the Consecutive Template requires.
-func Collect() core.Stage { return core.Collect("matching/collect", exact.GreedyMatchingByID) }
-
-// CollectBound is the round bound of Collect.
-func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
+// (core.Collect): n rounds of flooding the active neighbors, then every node
+// outputs its partner in the canonical greedy-by-identifier maximal matching
+// of its component. Its round bound core.CollectBound(info) = n+1 is
+// computable by all nodes, as the Consecutive Template requires.
+func Collect() core.Stage {
+	return core.Collect("matching/collect", core.CollectHooks{
+		Nbrs:   func(c *core.StageCtx) []int { return c.Memory().(*Memory).ActiveNeighbors(c.Info()) },
+		Finish: core.SolveOwn(exact.GreedyMatchingByID),
+	})
+}
 
 // Solo runs a single matching stage as a complete algorithm.
 func Solo(stage core.Stage) runtime.Factory {
@@ -46,7 +48,7 @@ func ConsecutiveCollect() runtime.Factory {
 		Mem:    NewMemory(),
 		B:      Init(),
 		U:      MeasureUniform,
-		Budget: func(info runtime.NodeInfo) int { return CollectBound(info) + 1 },
+		Budget: func(info runtime.NodeInfo) int { return core.CollectBound(info) + 1 },
 		Align:  3,
 		C:      &cleanup,
 		Ref:    core.FixedRef(Collect()),

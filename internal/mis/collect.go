@@ -3,17 +3,19 @@ package mis
 import (
 	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/runtime"
 )
 
 // Collect returns the collect-and-solve LOCAL reference algorithm
-// (core.Collect): n rounds of adjacency flooding, then every node outputs
-// its bit of the canonical greedy-by-identifier MIS of its component.
+// (core.Collect): n rounds of flooding the active neighbors, then every
+// node outputs its bit of the canonical greedy-by-identifier MIS of its
+// component. Its round bound is core.CollectBound.
 //
 // It exists to exercise the templates with a reference whose bound is known
 // and simple; the decomposition reference in internal/decomp plays the role
 // of the paper's sophisticated references.
-func Collect() core.Stage { return core.Collect("mis/collect", exact.GreedyMISByID) }
-
-// CollectBound is the round bound r(n) of Collect, computable by every node.
-func CollectBound(info runtime.NodeInfo) int { return info.N + 1 }
+func Collect() core.Stage {
+	return core.Collect("mis/collect", core.CollectHooks{
+		Nbrs:   func(c *core.StageCtx) []int { return c.Memory().(*Memory).ActiveNeighbors(c.Info()) },
+		Finish: core.SolveOwn(exact.GreedyMISByID),
+	})
+}

@@ -67,7 +67,7 @@ func consecutiveSpec(budget func(runtime.NodeInfo) int, ref core.Stage) runtime.
 // robust with respect to the reference.
 func ConsecutiveCollect() runtime.Factory {
 	return consecutiveSpec(func(info runtime.NodeInfo) int {
-		return CollectBound(info) + 1
+		return core.CollectBound(info) + 1
 	}, Collect())
 }
 

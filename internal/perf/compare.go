@@ -37,14 +37,6 @@ type Policy struct {
 	Default Tolerance
 }
 
-// For returns the tolerance for the metric name.
-func (p Policy) For(name string) Tolerance {
-	if t, ok := p.Metrics[name]; ok {
-		return t
-	}
-	return p.Default
-}
-
 // timingSuffixes classify wall-clock metric names as informational in the
 // default policy; everything the engine counts deterministically gates.
 var timingSuffixes = []string{"_seconds", "_per_sec", "_ns"}

@@ -201,9 +201,6 @@ func (e *Env) Output(v any) {
 // HasOutput reports whether Output has been called.
 func (e *Env) HasOutput() bool { return e.hasOutput }
 
-// CurrentOutput returns the most recently assigned output (nil if none).
-func (e *Env) CurrentOutput() any { return e.output }
-
 // Terminate marks the node as terminated at the end of the current round.
 // A node must have produced an output before terminating.
 //

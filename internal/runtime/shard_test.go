@@ -28,14 +28,10 @@ func shardRun(t *testing.T, g *graph.Graph, factory runtime.Factory, policy *fau
 	}
 	var stats fault.Stats
 	if policy != nil {
-		chaos := fault.New(*policy)
-		cfg.Adversary = chaos
-		defer func() { stats = chaos.Stats() }()
+		cfg.Adversary = fault.New(*policy)
 	}
 	res, err := runtime.Run(cfg)
 	if policy != nil {
-		// Stats are read after Run so the deferred capture above is not
-		// needed; keep the direct read for clarity.
 		stats = cfg.Adversary.(*fault.Chaos).Stats()
 	}
 	return res, err, stats, rec.Events()

@@ -191,18 +191,3 @@ func (p *Partition) CutEdges(off, adj []int32) int {
 	}
 	return cut
 }
-
-// BoundaryNodes counts the nodes with at least one neighbor on another
-// shard — the nodes whose inbox regions the exchange phase can touch.
-func (p *Partition) BoundaryNodes(off, adj []int32) int {
-	nodes := 0
-	for i := 0; i < len(off)-1; i++ {
-		for _, j := range adj[off[i]:off[i+1]] {
-			if p.Of[i] != p.Of[j] {
-				nodes++
-				break
-			}
-		}
-	}
-	return nodes
-}

@@ -67,9 +67,6 @@ func TestContiguousRingCut(t *testing.T) {
 	if got := p.CutEdges(off, adj); got != 8 {
 		t.Fatalf("ring cut edges = %d, want 8", got)
 	}
-	if got := p.BoundaryNodes(off, adj); got != 8 {
-		t.Fatalf("ring boundary nodes = %d, want 8", got)
-	}
 }
 
 func TestGreedyEdgeCutDeterministicAndBalanced(t *testing.T) {
