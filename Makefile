@@ -99,10 +99,10 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz FuzzShardParity -fuzztime 30s
 
 # The sharded engine end to end: a 1-shard CLI run whose trace must match
-# the unsharded engine's exactly (no events dropped), a 4-shard run whose
-# trace must match it with the shard ledger events dropped (the determinism
-# contract), then the CH8 boundary-traffic sweep at 100k nodes on both
-# engine modes.
+# the unsharded engine's exactly (no events dropped), a 4-shard run and a
+# 2-shard Parallel run whose traces must match it with the shard ledger
+# events dropped (the determinism contract), then the CH8 boundary-traffic
+# sweep at 100k nodes on both engine modes.
 shard-smoke:
 	$(GO) build -o /tmp/dgp-run ./cmd/dgp-run
 	$(GO) build -o /tmp/dgp-trace ./cmd/dgp-trace
@@ -111,6 +111,8 @@ shard-smoke:
 	/tmp/dgp-trace diff /tmp/unsharded.jsonl /tmp/shard1.jsonl
 	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -shards 4 -trace /tmp/sharded.jsonl
 	/tmp/dgp-trace diff -drop shard-exchange /tmp/unsharded.jsonl /tmp/sharded.jsonl
+	/tmp/dgp-run -problem mis -graph gnp -n 120 -seed 9 -flips 12 -chaos 0.3 -heal -shards 2 -parallel -trace /tmp/sharded-par.jsonl
+	/tmp/dgp-trace diff -drop shard-exchange /tmp/unsharded.jsonl /tmp/sharded-par.jsonl
 	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4,8
 	$(GO) run ./cmd/dgp-bench -exp shards -shards 1,2,4,8 -par
 

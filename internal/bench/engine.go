@@ -183,7 +183,7 @@ func scaleSweep(p Params) ([]*Table, *perf.Ledger, error) {
 
 // shardSweep renders the CH8 shard-count table: one row per (graph family,
 // strategy, S), reporting the partition's edge cut, round throughput, and
-// the boundary traffic the exchange phase actually carried. Outputs are
+// the boundary traffic that actually crossed the partition cut. Outputs are
 // byte-identical across every row of a graph; the sweep varies only where
 // the work runs and what crosses shard boundaries.
 func shardSweep(p Params) ([]*Table, *perf.Ledger, error) {
@@ -241,7 +241,7 @@ func shardSweep(p Params) ([]*Table, *perf.Ledger, error) {
 			}
 		}
 	}
-	t.Note("boundary msgs/bits = per-round average traffic crossing shards in the exchange phase; S=1 and the unsharded engine carry none")
+	t.Note("boundary msgs/bits = per-round average traffic crossing shards across the partition cut; S=1 and the unsharded engine carry none")
 	t.Note("outputs and traces are byte-identical across all rows of a graph family (the sharding determinism contract)")
 	return []*Table{t}, ledger, nil
 }

@@ -145,9 +145,9 @@ func (m *machine) seg(q int) (segment string, idx int) {
 	case q <= 3*l+6:
 		return "down", q - (2*l + 4)
 	case q == 3*l+7:
-		return "outA", 1
+		return "out1", 1
 	default:
-		return "outB", 1
+		return "out0", 1
 	}
 }
 
@@ -198,14 +198,14 @@ func (m *machine) Send(c *core.StageCtx) []runtime.Out {
 			return outs
 		}
 		return nil
-	case "outA":
+	case "out1":
 		if m.decided && m.decision.Win && m.decision.MIS[c.ID()] == 1 {
 			outs := c.BroadcastTo(m.active(c), outMsg{Bit: 1})
 			c.Output(1)
 			return outs
 		}
 		return nil
-	default: // outB
+	default: // out0
 		if (m.decided && m.decision.Win) || m.gotOne {
 			outs := c.BroadcastTo(m.active(c), outMsg{Bit: 0})
 			c.Output(0)
@@ -277,7 +277,7 @@ func (m *machine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 				m.decision = dm
 			}
 		}
-	case "outA":
+	case "out1":
 		m.recordOut(inbox)
 	default:
 		m.recordOut(inbox)

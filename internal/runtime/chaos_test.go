@@ -99,8 +99,8 @@ func (m *wedgedMachine) Send(env *runtime.Env) []runtime.Out {
 func (m *wedgedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {}
 
 // TestRoundDeadline covers deadline abandonment on every lane layout: one
-// lane run inline or on its worker pool, and two lanes with runner
-// goroutines, each sequential and Parallel.
+// lane run inline or cut into chunks for the worker set, and two lanes on
+// the worker set, each sequential and Parallel.
 func TestRoundDeadline(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {

@@ -21,21 +21,22 @@ type Config struct {
 	// Predictions, when non-nil, must have length Graph.N(); Predictions[i]
 	// is handed to the factory for node index i.
 	Predictions []any
-	// Parallel runs each lane's send/receive phases on a persistent worker
-	// pool of ⌈GOMAXPROCS/S⌉ goroutines (S lanes, see Shards), created once
-	// per Run and driven by phase signals with a barrier between phases.
-	// Semantics are identical with or without it.
+	// Parallel cuts each lane's send/receive phases into ⌈GOMAXPROCS/S⌉
+	// contiguous chunks (S lanes, see Shards), run by the run's one worker
+	// set of S·⌈GOMAXPROCS/S⌉ executors, created once per Run and driven by
+	// phase signals with a barrier between phases. Without it each lane is
+	// one chunk. Semantics are identical with or without it.
 	Parallel bool
 	// Shards sets the engine's lane count S. The engine always executes as
-	// lanes, each owning a node set with its own inbox arena and frontier
-	// lists; 0 and 1 give one lane over the whole graph. With Shards >= 2
-	// the graph is partitioned into Shards node sets (contiguous index
-	// ranges unless Partition overrides the strategy) and the lanes
-	// exchange boundary-edge message batches at the round barrier. The
-	// determinism contract extends across lane counts: results, error
-	// surfaces, and trace streams (EvShardExchange ledgers, emitted only
-	// with two or more lanes, excepted) are identical for every Shards
-	// value. See internal/runtime/shard.go.
+	// lanes, each owning a node set and its frontier lists, over one shared
+	// inbox arena; 0 and 1 give one lane over the whole graph. With Shards
+	// >= 2 the graph is partitioned into Shards node sets (contiguous index
+	// ranges unless Partition overrides the strategy), each lane places its
+	// own senders' deliveries, and deliveries across the partition cut land
+	// straight in their slots. The determinism contract extends across lane
+	// counts: results, error surfaces, and trace streams (EvShardExchange
+	// ledgers, emitted only with two or more lanes, excepted) are identical
+	// for every Shards value. See internal/runtime/shard.go.
 	Shards int
 	// Partition, when non-nil, fixes the node→lane assignment (e.g.
 	// shard.GreedyEdgeCut); its shard count must agree with Shards when both
@@ -105,8 +106,7 @@ type RoundStats struct {
 // ShardRoundStats is one shard's slice of a round's delivery ledgers
 // (RoundStats.Shards). Injected counts the adversary's extra duplicate
 // copies: they are real deliveries, so they appear in Delivered too. Boundary
-// fields ledger the traffic this shard exported across the partition cut —
-// the per-round cost of the exchange phase.
+// fields ledger the traffic this shard exported across the partition cut.
 type ShardRoundStats struct {
 	Delivered       int
 	DeliveredBits   int
@@ -162,7 +162,7 @@ var ErrCongestViolation = errors.New("runtime: CONGEST bandwidth violation")
 // ErrMachinePanic is returned when a machine's Send or Receive panics. The
 // panic is contained: it surfaces as a per-node error from Run (wrapping
 // this sentinel, with node, round, phase, and the panic value) and the
-// worker pool shuts down cleanly instead of crashing the process.
+// worker set shuts down cleanly instead of crashing the process.
 var ErrMachinePanic = errors.New("runtime: machine panicked")
 
 // ErrRoundDeadline is returned when Config.RoundDeadline is set and a send
@@ -236,8 +236,8 @@ func Run(cfg Config) (*Result, error) {
 
 	st := newState(cfg, g, n, crashes, part)
 	// A deadline abort abandons the in-flight phase goroutine, which may
-	// still be dispatching on the lanes' channels; closing them underneath
-	// it would race, so abandoned lanes leak with it.
+	// still be dispatching on the workers' channels; closing them underneath
+	// it would race, so an abandoned worker set leaks with it.
 	defer func() {
 		if !st.abandoned {
 			st.closeLanes()
@@ -434,7 +434,7 @@ func buildCrashSched(crashes map[int]int) []crashEntry {
 }
 
 // state holds the engine's mutable execution state in columnar form: flat
-// CSR adjacency, one contiguous inbox arena per lane and round, and compact
+// CSR adjacency, one contiguous inbox arena per round, and compact
 // active lists over a frontier bitset. Per-node slice-of-slice structures
 // are gone from the hot path; what remains per node lives in the flat envs
 // slab.
@@ -465,36 +465,44 @@ type state struct {
 	actByID     []int32
 	activeCount int
 
-	// crashSched/crashNext consume the merged crash schedule in round order.
+	// crashSched/crashNext consume the adversary's crash schedule in round
+	// order.
 	crashSched []crashEntry
 	crashNext  int
 
-	// inCnt/inOff/inFill carve the lane arenas into per-node regions: the
+	// inCnt/inOff/inFill carve the inbox arena into per-node regions: the
 	// counting pass fills inCnt, the offset pass turns it into inOff (region
 	// starts) and resets it, and inFill[i] ends node i's region once
-	// placement is done.
+	// placement is done. inMsgs is the arena slice acquired from inbox for
+	// the round.
 	inCnt  []int32
 	inOff  []int32
 	inFill []int32
+	inbox  msgSlab
+	inMsgs []Msg
 
 	// errs[i] records a per-node engine error (e.g. send to non-neighbor).
 	errs []error
 	// terminatedThisSend marks nodes that terminated during the send phase.
 	terminatedThisSend []bool
 	// abandoned marks that a deadline abort left a phase goroutine alive on
-	// the lanes' channels, so Run must not close them.
+	// the workers' channels, so Run must not close them.
 	abandoned bool
 
-	// lanes are the execution units (see shard.go); there is always at least
-	// one. laneOf/exch/shardStats/laneDone exist only with two or more
-	// lanes: laneOf maps node index to lane, exch is the boundary-batch
-	// fabric, shardStats the per-shard round ledgers, and laneDone the
-	// supervisor's barrier channel.
+	// lanes are the frontier partitions (see shard.go); there is always at
+	// least one. laneOf/shardStats exist only with two or more lanes: laneOf
+	// maps node index to lane, shardStats holds the per-shard round ledgers.
 	lanes      []*laneState
 	laneOf     []int32
-	exch       *shard.Exchange[slotMsg]
 	shardStats []ShardRoundStats
-	laneDone   chan struct{}
+	// work/done/tasks/chunks are the worker set: one task channel per
+	// worker goroutine (the dispatcher is the set's other executor), the
+	// phase barrier's completion channel, the reused task list, and the
+	// chunks per lane in a send or receive phase.
+	work   []chan task
+	done   chan struct{}
+	tasks  []task
+	chunks int
 
 	// maxMsgBits/localOnly accumulate Result.MaxMsgBits: the largest sized
 	// payload seen (-1 before any), and whether an unsized payload was seen.
@@ -713,11 +721,10 @@ func (st *state) callSend(i int) (outs []Out, ok bool) {
 	return st.mach[i].Send(&st.envs[i]), true
 }
 
-// callReceive is callSend's Receive-phase counterpart; arena is the arena
-// of the lane owning node i.
+// callReceive is callSend's Receive-phase counterpart.
 //
 //dgp:hotpath
-func (st *state) callReceive(i int, arena []Msg) (ok bool) {
+func (st *state) callReceive(i int) (ok bool) {
 	e := &st.envs[i]
 	e.inReceive = true
 	defer func() {
@@ -727,7 +734,7 @@ func (st *state) callReceive(i int, arena []Msg) (ok bool) {
 				ErrMachinePanic, e.info.ID, e.round, r)
 		}
 	}()
-	st.mach[i].Receive(e, arena[st.inOff[i]:st.inFill[i]])
+	st.mach[i].Receive(e, st.inMsgs[st.inOff[i]:st.inFill[i]])
 	return true
 }
 
@@ -802,15 +809,14 @@ func (st *state) sendPhase(i int) {
 	}
 }
 
-// receivePhase hands node i, owned by lane ls, its inbox region.
+// receivePhase hands node i its inbox region.
 //
 //dgp:hotpath
-func (ls *laneState) receivePhase(i int) {
-	st := ls.st
+func (st *state) receivePhase(i int) {
 	if st.terminatedThisSend[i] {
 		return
 	}
-	if !st.callReceive(i, ls.inMsgs) {
+	if !st.callReceive(i) {
 		return
 	}
 	if err := st.envs[i].err; err != nil {
@@ -948,9 +954,9 @@ func (st *state) firstError() error {
 // phase executes one send or receive phase, under the round deadline when
 // one is configured. On a deadline hit the phase goroutine is abandoned (a
 // wedged machine cannot be preempted) and the run aborts with a diagnostic;
-// the abandoned goroutine may still be mid-dispatch on the lanes, so their
-// runners and pools are abandoned (leaked) with it rather than closed
-// underneath it — a deadline abort is terminal by contract.
+// the abandoned goroutine may still be mid-dispatch on the worker set, so
+// the workers are abandoned (leaked) with it rather than closed underneath
+// it — a deadline abort is terminal by contract.
 func (st *state) phase(cmd laneCmd, round int, name string) error {
 	if st.cfg.RoundDeadline <= 0 {
 		st.runPhase(cmd)

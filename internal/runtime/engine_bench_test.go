@@ -189,9 +189,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		{"seq-bcast", false, true, 0, 8, false},
 		{"par-bcast", true, true, 0, 16, false},
 		// Sharded modes: one shard is the same single lane as seq and must
-		// hold the same ~0 figure; multi-shard rounds reuse the lane slabs,
-		// boundary-batch frames, and cursor streams, so steady state stays
-		// ~0 there too (the wider budget is barrier/GC noise).
+		// hold the same ~0 figure; multi-shard rounds reuse the shared
+		// arena, task list, and cursor streams, so steady state stays ~0
+		// there too (the wider budget is barrier/GC noise).
 		{"shard1", false, false, 1, 8, false},
 		{"shard4", false, false, 4, 24, false},
 		{"shard4-par", true, false, 4, 32, false},

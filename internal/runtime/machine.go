@@ -7,15 +7,18 @@
 // immediately after producing its last output.
 //
 // The engine has one execution path: every run is S lanes (see shard.go),
-// each running the per-node send and receive phases over its own nodes with
+// partitions of the frontier that deliver into one shared inbox arena, and
+// one worker set runs every lane's send, placement and receive phases with
 // a barrier between phases. A run without Config.Shards/Config.Partition is
-// one lane; with S >= 2 the lanes exchange boundary-edge message batches at
-// the round barrier. Config.Parallel gives every lane a persistent pool of
-// goroutines (created once per run, signalled each phase). Every lane count
-// and pool setting is deterministic and produces byte-identical results and
-// traces; golden digests, tests and FuzzShardParity assert this. Engine buffers
-// (inboxes, routing state, lane slabs, exchange frames) are recycled across
-// rounds, so steady-state rounds allocate nothing in the engine itself.
+// one lane; with S >= 2 each lane places its own senders' deliveries,
+// across the partition cut included, at slots fixed by a serial counting
+// pass. Config.Parallel cuts every lane's send and receive phases into
+// chunks for more workers (created once per run, signalled each phase).
+// Every lane count and Parallel setting is deterministic and produces
+// byte-identical results and traces; golden digests, tests and
+// FuzzShardParity assert this. Engine buffers (the inbox arena, routing
+// state, lane streams) are recycled across rounds, so steady-state rounds
+// allocate nothing in the engine itself.
 //
 // Message sizes are accounted when payloads implement BitSized, allowing
 // CONGEST-model bandwidth checks for the algorithms that fit in O(log n) bits.

@@ -1,38 +1,38 @@
 package runtime
 
-// This file hosts the engine's execution units ("lanes") and its one router.
-// Every run is S lanes over a node partition, each owning a disjoint slice
-// of the frontier, its own inbox arena and (in Parallel mode) its own inner
-// worker pool. A sequential or Parallel run without Shards/Partition is one
-// lane; Config.Shards or Config.Partition with S ≥ 2 gives S lanes that
-// exchange boundary-edge message batches at the round barrier over the
-// typed-channel fabric in internal/shard.
+// This file hosts the engine's execution units ("lanes"), its one worker
+// set and its one router. Every run is S lanes over a node partition, each
+// owning a disjoint slice of the frontier; all lanes deliver into the one
+// inbox arena the state owns. A run without Shards/Partition is one lane;
+// Config.Shards or Config.Partition with S ≥ 2 gives S lanes, and a
+// delivery whose sender and destination sit in different lanes crosses the
+// partition cut.
 //
 // The determinism contract — results, error surfaces, and trace streams
 // byte-identical for every lane count — rests on a strict division of labor
-// between the supervisor (Run's goroutine) and the lanes:
+// between the supervisor (Run's goroutine) and the worker set:
 //
 //   - Everything order-sensitive stays serial on the supervisor: the
 //     counting pass walks senders in global ascending-identifier order, so
 //     the adversary sees one fixed call sequence, the ledgers and
 //     EvBatch/EvFault events accrue identically, and every delivery's arena
 //     slot (destination region + within-region cursor) is fixed before any
-//     lane moves a byte.
-//   - Everything embarrassingly parallel fans out to the lanes: the machine
-//     send/receive phases, and the placement pass, where each lane replays
-//     its own senders' recorded fates, writes local deliveries straight
-//     into its own arena, and ships boundary deliveries — slot included —
-//     to the owning lane. Lanes write only their own arenas, so placement
-//     needs no locks, and because slots were assigned serially, the arena
-//     contents come out identical no matter how the exchange interleaves.
+//     task moves a byte.
+//   - Everything embarrassingly parallel fans out to the workers: the
+//     machine send/receive phases, and the placement pass, where each lane
+//     replays its own senders' recorded fates and writes every delivery,
+//     local or across the cut, straight to its slot. Slots are disjoint, so
+//     placement needs no locks, and because they were assigned serially,
+//     the arena contents come out identical however the tasks interleave.
 //
-// Lane 0 always runs on the dispatching goroutine; lanes 1..S-1 each have a
-// runner goroutine. A one-lane run therefore has no runner at all, and it
-// needs no slots either: with every destination local, placement walks the
-// senders in the counting pass's order and fills each region at its inFill
-// cursor, so no slot stream, per-shard ledger, boundary staging or exchange
-// is kept. Its lists alias the global frontier lists instead of copying
-// them.
+// A one-lane run needs no slots: with every destination local, placement
+// walks the senders in the counting pass's order and fills each region at
+// its inFill cursor, so no slot stream or per-shard ledger is kept. Its
+// lists alias the global frontier lists instead of copying them.
+//
+// One worker set of W = S·k executors runs every phase, k = ⌈GOMAXPROCS/S⌉
+// under Config.Parallel and 1 otherwise; the dispatching goroutine is one
+// of them, so a sequential one-lane run starts no goroutine at all.
 
 import (
 	"runtime"
@@ -41,16 +41,7 @@ import (
 	"repro/internal/shard"
 )
 
-// slotMsg is one boundary delivery in flight between lanes: the message and
-// its precomputed slot in the destination lane's arena. Slots are assigned
-// during the serial counting pass, so the receiving lane writes each
-// message straight to its place with no per-message coordination.
-type slotMsg struct {
-	slot int32
-	msg  Msg
-}
-
-// laneCmd is one unit of work dispatched to the lanes.
+// laneCmd is one phase dispatched to the worker set.
 type laneCmd uint8
 
 const (
@@ -59,23 +50,17 @@ const (
 	cmdPlace
 )
 
-// laneState is one execution unit. The lane owns its compact active lists,
-// its inbox arena, the replay streams for messages its nodes sent, its
-// boundary staging buffers, an optional inner worker pool, and (lanes
-// 1..S-1) a runner goroutine driven by the supervisor's command channel.
+// laneState is one lane: its compact active lists and the replay streams
+// for messages its nodes sent.
 type laneState struct {
 	st *state
 	id int32
 	// actByIdx/actByID are the lane's active lists — the subsequences of the
 	// global lists owned by this lane, maintained in the same two orders
-	// (node index for phase dispatch and arena layout, identifier for
-	// routing replay). A single lane aliases the global lists.
+	// (node index for phase dispatch, identifier for routing replay). A
+	// single lane aliases the global lists.
 	actByIdx []int32
 	actByID  []int32
-	// inbox is the lane-local arena; inMsgs the slice acquired for the
-	// round. The global inOff/inFill carve it into per-node regions.
-	inbox  msgSlab
-	inMsgs []Msg
 	// fateCopies/fateSwap replay the adversary's verdicts for messages sent
 	// by this lane's nodes; within (multi-lane runs only) replays each
 	// surviving message's destination-region cursor. All three are appended
@@ -84,135 +69,135 @@ type laneState struct {
 	fateCopies []int32
 	fateSwap   []Payload
 	within     []int32
-	// outB[d] stages boundary deliveries for lane d, reused across rounds
-	// (refilled only after the next round's counting barrier, per the
-	// Exchange handover contract). nil on a one-lane run.
-	outB [][]slotMsg
-	// cmds drives the runner (nil for lane 0, which runs on the
-	// dispatcher); the supervisor waits on st.laneDone after each dispatch
-	// wave — that wait is the intra-round barrier.
-	cmds chan laneCmd
-	// pool is the lane's inner worker pool (Parallel mode; nil otherwise).
-	pool *workerPool
 }
 
-// initLanes attaches the lanes to a fresh state: one lane without a
+// task is one unit of a phase: a send or receive phase over a contiguous
+// chunk of one lane's frontier, or one lane's placement pass.
+type task struct {
+	cmd   laneCmd
+	ls    *laneState
+	nodes []int32
+}
+
+// run executes the task.
+//
+//dgp:hotpath
+func (t task) run() {
+	st := t.ls.st
+	switch t.cmd {
+	case cmdPlace:
+		t.ls.place()
+	case cmdSend:
+		for _, si := range t.nodes {
+			st.sendPhase(int(si))
+		}
+	default:
+		for _, si := range t.nodes {
+			st.receivePhase(int(si))
+		}
+	}
+}
+
+// initLanes attaches the lanes to a fresh state — one lane without a
 // partition (or with a one-shard partition), else one lane per shard with
-// its own active lists, arena, and runner goroutine, plus the exchange
-// fabric and per-shard ledgers. In Parallel mode each lane gets an inner
-// pool of ⌈GOMAXPROCS/S⌉ workers.
+// its own active lists plus the per-shard ledgers — and starts the worker
+// set: W-1 goroutines beside the dispatcher, k = ⌈GOMAXPROCS/S⌉ chunks per
+// lane under Parallel (never more than the largest lane has nodes), else 1.
 func (st *state) initLanes(part *shard.Partition) {
 	s := 1
 	if part != nil {
 		s = part.S
 	}
-	workers := 0
-	if st.cfg.Parallel {
-		workers = (runtime.GOMAXPROCS(0) + s - 1) / s
-	}
 	st.lanes = make([]*laneState, s)
+	biggest := st.n
 	if s == 1 {
-		ls := st.newLane(0, st.n, workers)
-		ls.actByIdx, ls.actByID = st.actByIdx, st.actByID
+		st.lanes[0] = &laneState{st: st, actByIdx: st.actByIdx, actByID: st.actByID}
+	} else {
+		st.laneOf = part.Of
+		st.shardStats = make([]ShardRoundStats, s)
+		biggest = 0
+		for sh, nodes := range part.Nodes {
+			ls := &laneState{st: st, id: int32(sh)}
+			ls.actByIdx = make([]int32, len(nodes))
+			copy(ls.actByIdx, nodes)
+			ls.actByID = make([]int32, 0, len(nodes))
+			st.lanes[sh] = ls
+			biggest = max(biggest, len(nodes))
+		}
+		// The lanes' identifier-order lists are the global list filtered by
+		// owner, preserving the global order within each lane.
+		for _, si := range st.actByID {
+			ls := st.lanes[st.laneOf[si]]
+			ls.actByID = append(ls.actByID, si)
+		}
+	}
+	st.chunks = 1
+	if st.cfg.Parallel {
+		st.chunks = max(1, min((runtime.GOMAXPROCS(0)+s-1)/s, biggest))
+	}
+	w := s * st.chunks
+	if w == 1 {
 		return
 	}
-	st.laneOf = part.Of
-	st.laneDone = make(chan struct{}, s)
-	st.exch = shard.NewExchange[slotMsg](s)
-	st.shardStats = make([]ShardRoundStats, s)
-	for sh := 0; sh < s; sh++ {
-		nodes := part.Nodes[sh]
-		ls := st.newLane(sh, len(nodes), workers)
-		ls.actByIdx = make([]int32, len(nodes))
-		copy(ls.actByIdx, nodes)
-		ls.actByID = make([]int32, 0, len(nodes))
-		ls.outB = make([][]slotMsg, s)
-		if sh > 0 {
-			ls.cmds = make(chan laneCmd, 1)
-			go ls.run()
-		}
-	}
-	// The lanes' identifier-order lists are the global list filtered by
-	// owner, preserving the global order within each lane.
-	for _, si := range st.actByID {
-		ls := st.lanes[st.laneOf[si]]
-		ls.actByID = append(ls.actByID, si)
+	st.tasks = make([]task, 0, w)
+	st.done = make(chan struct{}, w)
+	st.work = make([]chan task, w-1)
+	for k := range st.work {
+		ch := make(chan task, 1)
+		st.work[k] = ch
+		go func() {
+			for t := range ch {
+				t.run()
+				st.done <- struct{}{}
+			}
+		}()
 	}
 }
 
-// newLane registers lane id owning n nodes, with an inner pool of at most
-// workers goroutines.
-func (st *state) newLane(id, n, workers int) *laneState {
-	ls := &laneState{st: st, id: int32(id), pool: newWorkerPool(n, workers)}
-	st.lanes[id] = ls
-	return ls
-}
-
-// closeLanes shuts the lane runners and their pools down. Callable only
-// between barriers (no command in flight); Run skips it after a deadline
-// abort, which may have left the dispatching goroutine mid-send.
+// closeLanes shuts the worker set down. Callable only between barriers (no
+// task in flight); Run skips it after a deadline abort, which may have left
+// the dispatching goroutine mid-send.
 func (st *state) closeLanes() {
-	for _, ls := range st.lanes {
-		if ls.cmds != nil {
-			close(ls.cmds)
-		}
-		if ls.pool != nil {
-			ls.pool.close()
-		}
+	for _, ch := range st.work {
+		close(ch)
 	}
 }
 
-// run is a runner goroutine: it executes dispatched commands and signals
-// the supervisor's barrier after each.
-func (ls *laneState) run() {
-	for cmd := range ls.cmds {
-		ls.exec(cmd)
-		ls.st.laneDone <- struct{}{}
-	}
-}
-
-// exec performs one command on this lane: a machine phase over the lane's
-// frontier (on the inner pool when present) or the placement pass.
-//
-//dgp:hotpath
-func (ls *laneState) exec(cmd laneCmd) {
-	switch {
-	case cmd == cmdPlace:
-		ls.place()
-	case ls.pool != nil:
-		ls.pool.run(ls, cmd, ls.actByIdx)
-	default:
-		ls.runNodes(cmd, ls.actByIdx)
-	}
-}
-
-// runNodes runs the send or receive phase for nodes, a share of this
-// lane's frontier.
-//
-//dgp:hotpath
-func (ls *laneState) runNodes(cmd laneCmd, nodes []int32) {
-	for _, si := range nodes {
-		if cmd == cmdSend {
-			ls.st.sendPhase(int(si))
-		} else {
-			ls.receivePhase(int(si))
-		}
-	}
-}
-
-// runPhase runs one command on every lane and returns once all of them
-// finished — the engine's phase barrier. Lane 0 runs on the calling
-// goroutine while the runners execute the others.
+// runPhase runs one phase on the worker set and returns once every task
+// finished — the engine's phase barrier. A send or receive phase is every
+// lane's frontier cut into st.chunks contiguous chunks; placement is one
+// task per lane. The calling goroutine runs task 0 while the workers run
+// the rest; a set of one executor runs its one lane's phase inline.
 //
 //dgp:hotpath
 func (st *state) runPhase(cmd laneCmd) {
-	rest := st.lanes[1:]
-	for _, ls := range rest {
-		ls.cmds <- cmd
+	if st.work == nil {
+		ls := st.lanes[0]
+		task{cmd: cmd, ls: ls, nodes: ls.actByIdx}.run()
+		return
 	}
-	st.lanes[0].exec(cmd)
-	for range rest {
-		<-st.laneDone
+	ts := st.tasks[:0]
+	for _, ls := range st.lanes {
+		if cmd == cmdPlace {
+			ts = append(ts, task{cmd: cmd, ls: ls})
+			continue
+		}
+		nodes := ls.actByIdx
+		chunk := max(1, (len(nodes)+st.chunks-1)/st.chunks)
+		for lo := 0; lo < len(nodes); lo += chunk {
+			ts = append(ts, task{cmd: cmd, ls: ls, nodes: nodes[lo:min(lo+chunk, len(nodes))]})
+		}
+	}
+	st.tasks = ts
+	if len(ts) == 0 {
+		return
+	}
+	for k, t := range ts[1:] {
+		st.work[k] <- t
+	}
+	ts[0].run()
+	for range ts[1:] {
+		<-st.done
 	}
 }
 
@@ -247,17 +232,17 @@ func (st *state) compactLanes() {
 }
 
 // routeLanes is the engine's router: it delivers this round's messages
-// into the lane arenas in three passes:
+// into the inbox arena in three passes:
 //
 //  1. counting (serial, supervisor) — walk senders in ascending identifier
 //     order, apply the model-level drop rules, consult the adversary once
 //     per surviving message (recording its fate in the sending lane's
 //     stream), book every delivery/drop ledger, and count arriving copies
 //     per destination;
-//  2. offsets — per-lane prefix sums over each lane's frontier carve each
-//     lane's arena into per-node regions;
-//  3. placement (on the lanes) — each lane replays its senders' fates and
-//     fills the regions, exchanging boundary deliveries when S ≥ 2.
+//  2. offsets — a prefix sum over the global frontier carves the arena into
+//     per-node regions;
+//  3. placement (one task per lane) — each lane replays its senders' fates
+//     and fills the regions.
 //
 // Inbox regions come out sorted by sender identifier, and the adversary and
 // trace observe one per-message call and event sequence for every lane
@@ -337,26 +322,22 @@ func (st *state) routeLanes(round int, res *Result) {
 		}
 	}
 
-	// Offsets: region layout within a lane matches the global layout
-	// restricted to the lane's nodes, and the prefix sum's end sizes the
-	// lane's arena. One lane fills each region at its inFill cursor, so the
+	// Offsets: one lane fills each region at its inFill cursor, so the
 	// cursor starts at the region head; several lanes write at recorded
 	// slots, so inFill is the region end from the start.
-	multi := st.exch != nil
-	for _, ls := range st.lanes {
-		cur := int32(0)
-		for _, si := range ls.actByIdx {
-			i := int(si)
-			st.inOff[i] = cur
+	multi := st.laneOf != nil
+	cur := int32(0)
+	for _, si := range st.actByIdx {
+		i := int(si)
+		st.inOff[i] = cur
+		st.inFill[i] = cur
+		cur += st.inCnt[i]
+		if multi {
 			st.inFill[i] = cur
-			cur += st.inCnt[i]
-			if multi {
-				st.inFill[i] = cur
-			}
-			st.inCnt[i] = 0
 		}
-		ls.inMsgs = ls.inbox.acquire(int(cur))
+		st.inCnt[i] = 0
 	}
+	st.inMsgs = st.inbox.acquire(int(cur))
 
 	st.runPhase(cmdPlace)
 	st.emitShardLedgers(round)
@@ -381,7 +362,7 @@ func (st *state) recordFate(ls *laneState, round, from, j int, payload Payload, 
 //
 //dgp:hotpath
 func (st *state) count(src *laneState, j, copies, b int) {
-	if st.exch != nil {
+	if st.laneOf != nil {
 		st.countShard(src, j, copies, b)
 		return
 	}
@@ -415,26 +396,18 @@ func (st *state) countShard(src *laneState, j, copies, b int) {
 }
 
 // place is the lane's placement pass: replay the counting pass's verdicts
-// over this lane's senders and write every delivery into its region. On a
-// multi-lane run local deliveries go straight into the lane arena, boundary
-// deliveries are staged per destination lane, and the lane then posts its
-// batches and drains the inbound ones into their precomputed slots. Runs
-// concurrently across lanes; each lane writes only its own arena.
+// over this lane's senders and write every delivery into its region of the
+// shared arena. Runs concurrently across lanes; on a multi-lane run each
+// delivery goes to the slot the counting pass fixed for it, so no two lanes
+// write the same slot.
 //
 //dgp:hotpath
 func (ls *laneState) place() {
 	st := ls.st
-	for d := range ls.outB {
-		// Stale slotMsgs hold payload references; release them before
-		// truncating, exactly like the arena's stale-tail clear.
-		clear(ls.outB[d])
-		ls.outB[d] = ls.outB[d][:0]
-	}
-	multi := st.exch != nil
 	// direct: one lane and no adversary, so every message is delivered
-	// once, locally, and lands at its destination's inFill cursor.
-	direct := !multi && st.cfg.Adversary == nil
-	arena := ls.inMsgs
+	// once and lands at its destination's inFill cursor.
+	direct := st.laneOf == nil && st.cfg.Adversary == nil
+	arena := st.inMsgs
 	fi, wi := 0, 0
 	for _, si := range ls.actByID {
 		i := int(si)
@@ -470,27 +443,13 @@ func (ls *laneState) place() {
 			}
 		}
 	}
-	if !multi {
-		return
-	}
-	self := int(ls.id)
-	for d := range st.lanes {
-		if d != self {
-			st.exch.Post(self, d, ls.outB[d])
-		}
-	}
-	for _, b := range st.exch.Collect(self) {
-		for _, sm := range b.Msgs {
-			ls.inMsgs[sm.slot] = sm.msg
-		}
-	}
 }
 
 // put places one surviving message outside the direct case: it replays
 // the recorded fate under an adversary (copies, replacement payload, which
-// travels untagged), then
-// writes the copies at j's inFill cursor on one lane or through deliver on
-// several. It returns the advanced fate and within cursors.
+// travels untagged), then writes the copies at the slot the counting pass
+// recorded for this sender stream on several lanes, or at j's inFill
+// cursor on one. It returns the advanced fate and within cursors.
 //
 //dgp:hotpath
 func (ls *laneState) put(j int, m Msg, fi, wi int) (int, int) {
@@ -506,42 +465,19 @@ func (ls *laneState) put(j int, m Msg, fi, wi int) (int, int) {
 	if copies == 0 {
 		return fi, wi
 	}
-	if st.exch != nil {
-		return fi, ls.deliver(j, m, copies, wi)
+	var f int32
+	if st.laneOf != nil {
+		f = st.inOff[j] + ls.within[wi]
+		wi++
+	} else {
+		f = st.inFill[j]
+		st.inFill[j] += int32(copies)
 	}
-	f := st.inFill[j]
 	for c := 0; c < copies; c++ {
-		ls.inMsgs[f] = m
+		st.inMsgs[f] = m
 		f++
 	}
-	st.inFill[j] = f
 	return fi, wi
-}
-
-// deliver is the multi-lane placement: it writes copies of m for
-// destination j at the slot the counting pass recorded for this sender
-// stream — directly into the lane arena when j is local, staged for the
-// boundary exchange otherwise — and returns the advanced within-cursor.
-//
-//dgp:hotpath
-func (ls *laneState) deliver(j int, m Msg, copies, wi int) int {
-	st := ls.st
-	slot := st.inOff[j] + ls.within[wi]
-	wi++
-	if d := st.laneOf[j]; d != ls.id {
-		ob := ls.outB[d]
-		for c := 0; c < copies; c++ {
-			ob = append(ob, slotMsg{slot: slot, msg: m})
-			slot++
-		}
-		ls.outB[d] = ob
-		return wi
-	}
-	for c := 0; c < copies; c++ {
-		ls.inMsgs[slot] = m
-		slot++
-	}
-	return wi
 }
 
 // emitShardLedgers publishes the round's per-shard ledgers as
@@ -565,79 +501,5 @@ func (st *state) emitShardLedgers(round int) {
 		if ss.BoundaryOut > 0 {
 			st.trace.Emit(obs.Event{Type: obs.EvShardExchange, Round: round, Node: s, Name: "boundary", Value: int64(ss.BoundaryOut), Aux: int64(ss.BoundaryOutBits)})
 		}
-	}
-}
-
-// poolTask is one phase dispatch to one worker: the lane, the phase, and
-// the worker's contiguous share of the lane's frontier list.
-type poolTask struct {
-	ls    *laneState
-	cmd   laneCmd
-	nodes []int32
-}
-
-// workerPool is a lane's persistent pool of goroutines, created once per
-// Run. Each phase, run splits the lane's frontier list into contiguous
-// per-worker ranges of the shared columnar slabs and blocks until all
-// workers signal done; run acts as the inter-phase barrier, which realizes
-// the synchronous round structure without spawning a goroutine wave per
-// phase per round.
-type workerPool struct {
-	work []chan poolTask
-	done chan struct{}
-}
-
-// newWorkerPool builds a pool of at most workers goroutines for n nodes
-// (nil when one worker would remain — the lane runs its nodes itself).
-func newWorkerPool(n, workers int) *workerPool {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return nil
-	}
-	p := &workerPool{done: make(chan struct{}, workers)}
-	for w := 0; w < workers; w++ {
-		ch := make(chan poolTask, 1)
-		p.work = append(p.work, ch)
-		go func(ch chan poolTask) {
-			for t := range ch {
-				t.ls.runNodes(t.cmd, t.nodes)
-				p.done <- struct{}{}
-			}
-		}(ch)
-	}
-	return p
-}
-
-// run executes lane ls's cmd phase on every worker's share of nodes and
-// returns once all workers have finished (the barrier).
-//
-//dgp:hotpath
-func (p *workerPool) run(ls *laneState, cmd laneCmd, nodes []int32) {
-	chunk := (len(nodes) + len(p.work) - 1) / len(p.work)
-	if chunk < 1 {
-		chunk = 1
-	}
-	for w, ch := range p.work {
-		lo := w * chunk
-		if lo > len(nodes) {
-			lo = len(nodes)
-		}
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		ch <- poolTask{ls: ls, cmd: cmd, nodes: nodes[lo:hi]}
-	}
-	for range p.work {
-		<-p.done
-	}
-}
-
-// close shuts the workers down; the pool must not be used afterwards.
-func (p *workerPool) close() {
-	for _, ch := range p.work {
-		close(ch)
 	}
 }

@@ -144,8 +144,9 @@ func TestShardSingleExactTrace(t *testing.T) {
 }
 
 // TestShardGreedyPartitionParity runs the contract over the seeded greedy
-// edge-cut partitioner: an arbitrary (balanced) node→shard assignment must
-// not change any observable either.
+// edge-cut partitioner, and over the worst possible cut, node i in shard
+// i mod s, where nearly every delivery and duplicate copy crosses lanes: an
+// arbitrary node→shard assignment must not change any observable either.
 func TestShardGreedyPartitionParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.BarabasiAlbert(80, 2, rng)
@@ -153,13 +154,28 @@ func TestShardGreedyPartitionParity(t *testing.T) {
 	policy := &fault.Policy{Seed: 21, Drop: 0.1, Duplicate: 0.2, Corrupt: 0.1, Crash: 0.1}
 	refRes, refErr, refStats, refTrace := shardRun(t, g, echoFactory(3), policy, 0, nil, false)
 	for _, s := range []int{2, 4, 8} {
-		part := shard.GreedyEdgeCut(g.N(), off, adj, s, 1234)
-		if err := part.Validate(g.N()); err != nil {
+		of := make([]int32, g.N())
+		for i := range of {
+			of[i] = int32(i % s)
+		}
+		strided, err := shard.New(s, of)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res, err, stats, trace := shardRun(t, g, echoFactory(3), policy, 0, part, true)
-		assertShardParity(t, fmt.Sprintf("greedy/shards=%d", s),
-			refRes, refErr, refStats, refTrace, res, err, stats, trace)
+		for _, c := range []struct {
+			name string
+			part *shard.Partition
+		}{
+			{"greedy", shard.GreedyEdgeCut(g.N(), off, adj, s, 1234)},
+			{"strided", strided},
+		} {
+			if err := c.part.Validate(g.N()); err != nil {
+				t.Fatal(err)
+			}
+			res, err, stats, trace := shardRun(t, g, echoFactory(3), policy, 0, c.part, true)
+			assertShardParity(t, fmt.Sprintf("%s/shards=%d", c.name, s),
+				refRes, refErr, refStats, refTrace, res, err, stats, trace)
+		}
 	}
 }
 

@@ -1,17 +1,16 @@
-// Package shard partitions the communication graph for the engine's sharded
-// execution mode (Config.Shards in internal/runtime): S shard engines each
-// own a disjoint slice of the node set, run the per-node phases
-// independently, and exchange only boundary-edge message batches at the
-// round barrier — cross-shard traffic tracks the edge cut, not n.
+// Package shard partitions the communication graph for the engine's
+// multi-lane execution (Config.Shards in internal/runtime): each of S lanes
+// owns a disjoint slice of the node set and runs the per-node phases and
+// the placement of its own senders' deliveries, all into one shared inbox
+// arena; the traffic that crosses lanes tracks the edge cut, not n.
 //
 // The package provides the two partitioning strategies over the engine's
 // CSR arrays — contiguous index ranges (the deterministic default) and a
-// seeded greedy edge-cut heuristic — plus the typed-channel Exchange fabric
-// the shard engines trade boundary batches over. Both partitioners are pure
-// functions of their inputs: Contiguous of (n, s) alone, GreedyEdgeCut of
-// (n, off, adj, s, seed), so a partition is reproducible from the run
-// configuration and the engine's determinism contract (results and traces
-// byte-identical for every S) extends to partitioned runs.
+// seeded greedy edge-cut heuristic. Both are pure functions of their
+// inputs: Contiguous of (n, s) alone, GreedyEdgeCut of (n, off, adj, s,
+// seed), so a partition is reproducible from the run configuration and the
+// engine's determinism contract (results and traces byte-identical for
+// every S) extends to partitioned runs.
 package shard
 
 import (

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 // ringCSR builds the CSR arrays of an n-cycle (each node adjacent to its
 // two ring neighbors), enough topology for partitioner tests without
@@ -109,61 +106,5 @@ func TestNewRejectsBadAssignments(t *testing.T) {
 	}
 	if err := p.Validate(4); err == nil {
 		t.Fatal("Validate accepted wrong n")
-	}
-}
-
-func TestExchangeCanonicalOrder(t *testing.T) {
-	const s = 4
-	x := NewExchange[int](s)
-	var wg sync.WaitGroup
-	got := make([][]int, s)
-	for me := 0; me < s; me++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			for d := 0; d < s; d++ {
-				if d == me {
-					continue
-				}
-				// Shard me ships one message, its own index, to every peer.
-				x.Post(me, d, []int{me})
-			}
-			var seen []int
-			for _, b := range x.Collect(me) {
-				seen = append(seen, b.Msgs...)
-			}
-			got[me] = seen
-		}(me)
-	}
-	wg.Wait()
-	for me := 0; me < s; me++ {
-		want := make([]int, 0, s-1)
-		for src := 0; src < s; src++ {
-			if src != me {
-				want = append(want, src)
-			}
-		}
-		if len(got[me]) != len(want) {
-			t.Fatalf("shard %d collected %v, want %v", me, got[me], want)
-		}
-		for k := range want {
-			if got[me][k] != want[k] {
-				t.Fatalf("shard %d collected %v, want ascending-source %v", me, got[me], want)
-			}
-		}
-	}
-}
-
-func TestExchangeFrameReuse(t *testing.T) {
-	x := NewExchange[int](2)
-	x.Post(1, 0, []int{7})
-	first := x.Collect(0)
-	x.Post(1, 0, nil)
-	second := x.Collect(0)
-	if &first[0] != &second[0] {
-		t.Fatal("Collect frames not reused")
-	}
-	if second[1].Msgs != nil {
-		t.Fatalf("stale batch survived: %v", second[1].Msgs)
 	}
 }

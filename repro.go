@@ -152,17 +152,19 @@ const Unmatched = predict.Unmatched
 
 // Options configures a run.
 type Options struct {
-	// Parallel selects the worker-pool engine (identical results).
+	// Parallel runs each engine phase on ⌈GOMAXPROCS/S⌉ executors per lane
+	// (S = Shards, at least 1); results are identical.
 	Parallel bool
-	// Shards, when positive, selects the sharded engine: the graph is split
-	// into Shards partitions, each run by an independent shard engine, with
-	// boundary-edge message batches exchanged at the round barrier. Results,
-	// error surfaces, and traces are identical for every value (the
-	// engine-level determinism contract); Shards is a throughput knob, not a
-	// semantic one. Composes with Parallel (per-shard worker pools).
+	// Shards, when 2 or more, splits the graph into Shards lanes: each owns
+	// a partition of the nodes and places its own senders' deliveries into
+	// the run's one inbox arena. Results, error surfaces, and traces are
+	// identical for every value (the engine-level determinism contract);
+	// Shards is a throughput knob, not a semantic one. Composes with
+	// Parallel (⌈GOMAXPROCS/Shards⌉ chunks per lane).
 	Shards int
 	// Partition, when non-nil, fixes the node→shard assignment (see
-	// GreedyPartition); nil with Shards > 0 selects contiguous index ranges.
+	// GreedyPartition); nil with Shards > 1 selects contiguous index ranges,
+	// and Shards 0 or 1 with a nil Partition builds none.
 	Partition *ShardPartition
 	// MaxRounds caps the execution (0 = 8n+64).
 	MaxRounds int

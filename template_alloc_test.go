@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro"
@@ -17,6 +18,11 @@ import (
 // encoded prediction (problem.EncodeInts) and each matched node's output.
 // Those boxes are counted exactly and taken off before the comparison, so
 // any other per-node allocation still shows.
+//
+// Lanes share the one-lane run's inbox arena, so a two-lane mis solve may
+// allocate at most 1.2 times the bytes of the same solve on one lane. What
+// remains of the gap is the counting pass's within stream (one slot cursor
+// per delivery) and, under an adversary, the fate streams.
 func TestTemplateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement; skipped with -short")
@@ -53,6 +59,38 @@ func TestTemplateAllocBudget(t *testing.T) {
 			}
 		}
 	}
+
+	g := repro.BarabasiAlbert(16000, 3, repro.NewRand(1))
+	preds, err := repro.GeneratePreds("mis", g, 1600, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveBytes := func(opts repro.Options) float64 {
+		return bytesPerRun(3, func() {
+			if _, err := repro.RunProblem(g, "mis", "simple", preds, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, two := solveBytes(repro.Options{}), solveBytes(repro.Options{Shards: 2})
+	t.Logf("mis BA n=16000: %.1f MB/run on one lane, %.1f MB/run on two (%.2fx)", one/1e6, two/1e6, two/one)
+	if two > 1.2*one {
+		t.Errorf("mis BA n=16000: two lanes allocate %.1f MB/run against %.1f MB/run on one (%.2fx > 1.2x)",
+			two/1e6, one/1e6, two/one)
+	}
+}
+
+// bytesPerRun reports the heap bytes f allocates per call, averaged over
+// runs calls after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // boxedInts counts the values Go boxes on the heap when converting them to
