@@ -10,12 +10,15 @@ build:
 test:
 	$(GO) test ./...
 
-# mis and matching ride along: their stages reuse per-node outboxes and
-# neighbour tables, which the Parallel worker pool must not share. ecolor
-# and decomp ride along too: their collect stage and cluster solve run on
-# core's per-node row slices (core.Collect, core.Component).
+# mis and matching ride along: their stages reuse per-node broadcast masks,
+# outboxes and neighbour tables, which the Parallel worker pool must not
+# share. ecolor and decomp ride along too: their collect stage and cluster
+# solve run on core's per-node row slices (core.Collect, core.Component).
+# The template golden traces run every registered template on the pool and
+# on two shards, so the staged broadcast path is race-checked end to end.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/ ./internal/mis/ ./internal/matching/ ./internal/ecolor/ ./internal/decomp/
+	$(GO) test -race -run TestTemplateGoldenTraces .
 
 # The problem/algorithm registry (also the README's algorithm table).
 list:

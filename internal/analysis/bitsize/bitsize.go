@@ -7,8 +7,9 @@
 //
 // Checked sites: composite literals of the runtime.Out message struct,
 // assignments to an Out's Payload field, and the payload — the last
-// argument — of every Broadcast/BroadcastTo/BroadcastActive call: the
-// runtime.Broadcast, Env.Broadcast, and the core.StageCtx outbox builders.
+// argument — of every Broadcast/BroadcastTo/BroadcastActive/BroadcastMasked
+// call: runtime.Broadcast, the Env.Broadcast and Env.BroadcastMasked
+// batches, and the core.StageCtx broadcast methods.
 // Payloads typed as interfaces are skipped (they are checked where their
 // concrete values are built).
 package bitsize
@@ -106,7 +107,7 @@ func checkBroadcast(pass *analysis.Pass, call *ast.CallExpr) {
 	default:
 		return
 	}
-	if name != "Broadcast" && name != "BroadcastTo" && name != "BroadcastActive" {
+	if name != "Broadcast" && name != "BroadcastTo" && name != "BroadcastActive" && name != "BroadcastMasked" {
 		return
 	}
 	if _, ok := exprFunc(pass, call.Fun); !ok {

@@ -27,13 +27,20 @@ func Broadcast(n int, p any) []Out { return nil }
 
 func BroadcastTo(ids []int, p any) []Out { return nil }
 
-// Ctx mirrors core.StageCtx's outbox builders, whose payload is the last
+// Ctx mirrors core.StageCtx's broadcast methods, whose payload is the last
 // (for Broadcast, the only) argument.
 type Ctx struct{}
 
 func (*Ctx) Broadcast(p any) []Out { return nil }
 
 func (*Ctx) BroadcastActive(done []int, p any) []Out { return nil }
+
+// Env mirrors runtime.Env's broadcast batches, which return nothing.
+type Env struct{}
+
+func (*Env) Broadcast(p any) {}
+
+func (*Env) BroadcastMasked(tag uint32, mask []uint64, p any) {}
 
 func build(to int) []Out {
 	outs := []Out{
@@ -55,6 +62,10 @@ func build(to int) []Out {
 	outs = append(outs, c.Broadcast(sized{})...)
 	outs = append(outs, c.BroadcastActive(nil, unsized{})...) // want `payload type unsized does not implement BitSized`
 	outs = append(outs, c.BroadcastActive(nil, &ptrSized{})...)
+	var e Env
+	e.Broadcast(unsized{})               // want `payload type unsized does not implement BitSized`
+	e.BroadcastMasked(1, nil, unsized{}) // want `payload type unsized does not implement BitSized`
+	e.BroadcastMasked(1, []uint64{1}, sized{})
 	return outs
 }
 

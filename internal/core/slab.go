@@ -4,8 +4,9 @@ import "repro/internal/runtime"
 
 // NodeSlab is the per-run storage behind a node-state factory: one T per
 // node of the run, indexed by NodeInfo.Index, and a pool of E from which
-// per-node slices — outboxes, neighbour-table buffers — are carved. It
-// replaces a handful of heap allocations per node with a few per run.
+// per-node slices — broadcast masks, outboxes, neighbour-table buffers —
+// are carved. It replaces a handful of heap allocations per node with a
+// few per run.
 //
 // Take relies on the engine's factory contract (runtime.Factory): one call
 // per node, in index order, on one goroutine, before round 1. Node 0 makes
@@ -22,7 +23,7 @@ type NodeSlab[T, E any] struct {
 
 // slabChunkDiv sizes the E pool's chunks at N/slabChunkDiv elements (at
 // least slabChunkMin): the run's total need — its total degree, for
-// outboxes — is not known at node 0, and chunks proportional to N keep the
+// outboxes, or mask words — is not known at node 0, and chunks proportional to N keep the
 // chunk count independent of n while bounding the unused tail of the last
 // chunk to a small share of the run's storage.
 const (

@@ -54,11 +54,11 @@ type ConsecutiveSpec struct {
 // boundary; an aligned budget of 0 or less skips the measure-uniform and
 // clean-up stages. The stage list depends only on the budget and Ref(info),
 // so nodes that agree on both — with FixedRef, every node of a run — share
-// one list, and their machines come from the same per-run slab as
+// one list, and their machines come from the same per-run slabs as
 // Sequence's.
 func Consecutive(spec ConsecutiveSpec) runtime.Factory {
 	var (
-		slab   NodeSlab[seqMachine, runtime.Out]
+		slabs  seqSlabs
 		budget int
 		ref    []Stage
 		stages []Stage
@@ -77,7 +77,7 @@ func Consecutive(spec ConsecutiveSpec) runtime.Factory {
 			}
 			stages = append(stages, r...)
 		}
-		return newSeqMachine(&slab, spec.Mem, stages, info, pred)
+		return newSeqMachine(&slabs, spec.Mem, stages, info, pred)
 	}
 }
 

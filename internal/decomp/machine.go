@@ -185,7 +185,7 @@ func (m *machine) Send(c *core.StageCtx) []runtime.Out {
 		if m.parent == 0 || len(m.pending) == 0 {
 			return nil
 		}
-		out := []runtime.Out{{To: m.parent, Payload: rowsMsg{Rows: m.pending}}}
+		out := c.BroadcastTo([]int{m.parent}, rowsMsg{Rows: m.pending})
 		m.pending = nil
 		return out
 	case "down":

@@ -81,7 +81,7 @@ func (m *colorToMatchingMachine) Send(c *core.StageCtx) []runtime.Out {
 		m.proposed = 0
 		if nb := m.classEdge(info, class); nb != 0 {
 			m.proposed = nb
-			return []runtime.Out{{To: nb, Payload: propose2{}}}
+			return c.BroadcastTo([]int{nb}, propose2{})
 		}
 		return nil
 	default:

@@ -61,11 +61,11 @@ func (m *ringBench) Receive(env *runtime.Env, inbox []runtime.Msg) {
 }
 
 // templBench is the ring workload as an MIS-style stage under
-// core.Simple: each stage round it broadcasts the pre-boxed payload through
-// the node's reusable outbox (StageCtx.Broadcast) and counts its inbox;
-// after rounds stage rounds the budget hands the node to a one-round
-// stage that outputs. Allocation figures thus measure the template layer
-// (tag stamping, inbox checks, outbox reuse) on top of the engine.
+// core.Simple: each stage round it broadcasts the pre-boxed payload as one
+// tagged batch on the engine's broadcast path (StageCtx.Broadcast) and
+// counts its inbox; after rounds stage rounds the budget hands the node to
+// a one-round stage that outputs. Allocation figures thus measure the
+// template layer (tagged batches, inbox checks) on top of the engine.
 type templBench struct {
 	payload any
 	heard   *int
@@ -195,10 +195,10 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		{"shard1", false, false, 1, 8, false},
 		{"shard4", false, false, 4, 24, false},
 		{"shard4-par", true, false, 4, 32, false},
-		// The template layer on top: core.Simple stamps the stage tag into
-		// the Out header, checks it on the engine's inbox view in place,
-		// and the stage broadcasts through its reusable outbox, so a
-		// templated round allocates nothing per message either.
+		// The template layer on top: the stage's broadcast is one batch
+		// under the stage tag on the engine's broadcast path, and
+		// core.Simple checks the tag on the engine's inbox view in place,
+		// so a templated round allocates nothing per message either.
 		{"seq-templated", false, false, 0, 8, true},
 	} {
 		short := measure(10, mode.parallel, mode.batched, mode.templated, mode.shards)

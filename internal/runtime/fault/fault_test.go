@@ -107,8 +107,13 @@ func TestGarbagePreservesBits(t *testing.T) {
 	}
 }
 
-// Compile-time check: Chaos satisfies the engine's Adversary interface.
-var _ runtime.Adversary = (*Chaos)(nil)
+// Compile-time checks: Chaos satisfies the engine's Adversary interface,
+// and Schedule is a crash-only one.
+var (
+	_ runtime.Adversary = (*Chaos)(nil)
+	_ runtime.Adversary = Schedule(nil)
+	_ runtime.CrashOnly = Schedule(nil)
+)
 
 // TestShardLossExplicit: an explicit LoseShards schedule crashes exactly the
 // shard's nodes at the given round, draw-free, and books the stats.

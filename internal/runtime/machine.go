@@ -23,8 +23,18 @@
 // Message sizes are accounted when payloads implement BitSized, allowing
 // CONGEST-model bandwidth checks for the algorithms that fit in O(log n) bits.
 //
-// Every message carries a Tag header next to its payload (Out.Tag, copied
-// through placement into Msg.Tag). The engine never interprets a tag; the
+// A node sends either the []Out its Send returns, each message checked
+// against its neighbor list, or one broadcast batch staged with
+// Env.Broadcast or Env.BroadcastMasked: one payload and tag for every
+// neighbor a mask over its sorted neighbor list selects. The engine routes
+// a batch by walking the node's CSR neighbor range, with one size lookup
+// per batch, and delivers exactly what the equivalent []Out would deliver.
+// Each node keeps its static information once: NodeInfo is assembled on
+// demand (Env.Info) from the node's id and index and the run's shared
+// constants.
+//
+// Every message carries a Tag header next to its payload (Out.Tag or the
+// batch's tag, copied through placement into Msg.Tag). The engine never interprets a tag; the
 // template combinators (internal/core) use it to multiplex their stages and
 // lanes onto one network without boxing payloads. A nonzero tag costs
 // TagBits in the message's size (see MessageBits), which is the size every
@@ -148,41 +158,71 @@ type Note struct {
 	Value int64
 }
 
+// runInfo is the static information every node of a run shares: n, d, Δ
+// and the identifier-sorted CSR offsets and neighbor identifiers. Env keeps
+// a pointer to it instead of a NodeInfo copy per node; Env.Info assembles a
+// node's NodeInfo from it when asked.
+type runInfo struct {
+	n, d, delta int
+	off         []int32
+	ids         []int
+}
+
 // Env is the per-node environment handed to Machine methods. It exposes the
 // node's static information, the current round, and output/termination.
 type Env struct {
-	info       NodeInfo
-	round      int
-	output     any
-	hasOutput  bool
-	terminated bool
-	err        error
-	// tracing mirrors "a trace recorder is attached"; notes stages this
-	// node's annotations for the round. Machine code may append via
+	run    *runInfo
+	id     int
+	round  int
+	output any
+	err    error
+	// notes stages this node's annotations for the round while tracing
+	// mirrors "a trace recorder is attached". Machine code may append via
 	// Annotate from a pool worker goroutine — each Env is owned by exactly
 	// one worker per phase — and the engine drains the buffer on the main
 	// goroutine after the phase barrier, in node-index order.
-	tracing bool
-	notes   []Note
+	notes []Note
 	// outs/dst stage the node's validated outbox for the routing passes:
 	// outs is the slice returned by Send, dst the destination node indices
 	// resolved during validation (cut from one CSR-sized slab in newState,
 	// so it grows only for a node sending more messages than it has
-	// neighbors). bcast/bcastSet
-	// stage an Env.Broadcast payload instead; inReceive guards Broadcast
-	// against receive-phase calls.
+	// neighbors). bcast, bcastTag and bcastMask stage a broadcast batch
+	// (BroadcastMasked) instead, bcastSet marks one staged this round, and
+	// inReceive guards the broadcast path against receive-phase calls.
 	outs      []Out
 	dst       []int32
 	bcast     Payload
-	bcastSet  bool
-	inReceive bool
+	bcastMask bitset
+	// index (NodeInfo.Index), bcastTag and the flags sit together so the
+	// Env packs into few words: one Env per node is the engine's largest
+	// per-node allocation.
+	index      int32
+	bcastTag   uint32
+	hasOutput  bool
+	terminated bool
+	tracing    bool
+	bcastSet   bool
+	inReceive  bool
 }
 
-// Info returns the node's static information.
-func (e *Env) Info() NodeInfo { return e.info }
+// Info returns the node's static information. It is assembled from the
+// run's shared constants on each call; NeighborIDs is a view the caller
+// must not modify.
+func (e *Env) Info() NodeInfo {
+	r := e.run
+	lo, hi := r.off[e.index], r.off[e.index+1]
+	return NodeInfo{
+		Index:       int(e.index),
+		ID:          e.id,
+		NeighborIDs: r.ids[lo:hi:hi],
+		N:           r.n,
+		D:           r.d,
+		Delta:       r.delta,
+	}
+}
 
 // ID returns the node's identifier.
-func (e *Env) ID() int { return e.info.ID }
+func (e *Env) ID() int { return e.id }
 
 // Round returns the current round number (1-based).
 func (e *Env) Round() int { return e.round }
@@ -243,15 +283,26 @@ func (e *Env) Annotate(name string, value int64) {
 }
 
 // Broadcast asks the engine to deliver payload to every neighbor this
-// round, without materializing a per-neighbor []Out. It is the zero-
-// allocation counterpart of returning Broadcast(env.Info(), payload) from
-// Send: the engine walks the node's CSR neighbor range directly. Call it
-// from Send (at most once per round) and return nil; calling it from
-// Receive, twice in a round, or alongside returned sends is a protocol
-// error.
+// round, without materializing a per-neighbor []Out: the untagged, unmasked
+// case of BroadcastMasked. It is the zero-allocation counterpart of
+// returning Broadcast(env.Info(), payload) from Send.
 //
 //dgp:hotpath
-func (e *Env) Broadcast(payload Payload) {
+func (e *Env) Broadcast(payload Payload) { e.BroadcastMasked(0, nil, payload) }
+
+// BroadcastMasked asks the engine to deliver payload under tag (see
+// Out.Tag) to the neighbors mask selects: bit k of word k/64 selects
+// position k of the node's ascending NeighborIDs, and a nil mask selects
+// every neighbor. A non-nil mask has exactly ⌈degree/64⌉ words; bits past
+// the degree are ignored. The engine walks the node's CSR neighbor range
+// directly, with one size check for the batch, and reads mask while it
+// routes the round, so the caller keeps it unchanged until its next Send.
+// Call it from Send (at most once per round) and return nil; calling it
+// from Receive, twice in a round, or alongside returned sends, or with a
+// mask of the wrong length, is a protocol error.
+//
+//dgp:hotpath
+func (e *Env) BroadcastMasked(tag uint32, mask []uint64, payload Payload) {
 	if e.inReceive {
 		e.fail(fmt.Errorf("%w: Broadcast called during Receive", ErrProtocol))
 		return
@@ -260,19 +311,26 @@ func (e *Env) Broadcast(payload Payload) {
 		e.fail(fmt.Errorf("%w: Broadcast called twice in one round", ErrProtocol))
 		return
 	}
-	e.bcast = payload
+	if mask != nil {
+		deg := int(e.run.off[e.index+1] - e.run.off[e.index])
+		if len(mask) != (deg+63)/64 {
+			e.fail(fmt.Errorf("%w: broadcast mask of %d words for %d neighbors", ErrProtocol, len(mask), deg))
+			return
+		}
+	}
+	e.bcast, e.bcastTag, e.bcastMask = payload, tag, mask
 	e.bcastSet = true
 }
 
 func (e *Env) fail(err error) {
 	if e.err == nil {
-		e.err = fmt.Errorf("node %d round %d: %w", e.info.ID, e.round, err)
+		e.err = fmt.Errorf("node %d round %d: %w", e.id, e.round, err)
 	}
 }
 
 // Broadcast builds one Out per neighbor carrying payload, in a new slice.
-// Template stages use core.StageCtx.Broadcast instead, which rebuilds a
-// per-node outbox in place.
+// Env.Broadcast and Env.BroadcastMasked send the same batch without one;
+// template stages reach them through core.StageCtx.Broadcast.
 func Broadcast(info NodeInfo, payload Payload) []Out {
 	outs := make([]Out, len(info.NeighborIDs))
 	for i, nb := range info.NeighborIDs {

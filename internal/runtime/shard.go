@@ -260,25 +260,26 @@ func (st *state) routeLanes(round int, res *Result) {
 		ls.fateSwap = ls.fateSwap[:0]
 		ls.within = ls.within[:0]
 	}
-	adv := st.cfg.Adversary
+	adv := st.adv
 	tr := st.trace
 	sl := st.lanes[0]
 	for _, si := range st.actByID {
 		i := int(si)
 		e := &st.envs[i]
-		from := e.info.ID
+		from := e.id
 		if st.laneOf != nil {
 			sl = st.lanes[st.laneOf[i]]
 		}
 		msgs0, bits0 := st.roundMsgs, st.roundBits
 		if e.bcastSet {
-			// Uniform batch: one payload-size lookup covers the whole
-			// neighbor range.
-			b := MessageBits(0, e.bcast)
+			// Uniform batch: one payload-size lookup covers every neighbor
+			// the mask selects.
+			b := MessageBits(e.bcastTag, e.bcast)
+			mask := e.bcastMask
 			delivered := 0
-			for _, dj := range st.csrNbr[st.csrOff[i]:st.csrOff[i+1]] {
+			for k, dj := range st.csrNbr[st.run.off[i]:st.run.off[i+1]] {
 				j := int(dj)
-				if !st.frontier.test(j) || st.terminatedThisSend[j] {
+				if (mask != nil && !mask.test(k)) || !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
 				if adv == nil {
@@ -404,20 +405,21 @@ func (st *state) countShard(src *laneState, j, copies, b int) {
 //dgp:hotpath
 func (ls *laneState) place() {
 	st := ls.st
-	// direct: one lane and no adversary, so every message is delivered
-	// once and lands at its destination's inFill cursor.
-	direct := st.laneOf == nil && st.cfg.Adversary == nil
+	// direct: one lane and no intercepting adversary, so every message is
+	// delivered once and lands at its destination's inFill cursor.
+	direct := st.laneOf == nil && st.adv == nil
 	arena := st.inMsgs
 	fi, wi := 0, 0
 	for _, si := range ls.actByID {
 		i := int(si)
 		e := &st.envs[i]
-		from := e.info.ID
+		from := e.id
 		if e.bcastSet {
-			m := Msg{From: from, Payload: e.bcast}
-			for _, dj := range st.csrNbr[st.csrOff[i]:st.csrOff[i+1]] {
+			m := Msg{From: from, Tag: e.bcastTag, Payload: e.bcast}
+			mask := e.bcastMask
+			for k, dj := range st.csrNbr[st.run.off[i]:st.run.off[i+1]] {
 				j := int(dj)
-				if !st.frontier.test(j) || st.terminatedThisSend[j] {
+				if (mask != nil && !mask.test(k)) || !st.frontier.test(j) || st.terminatedThisSend[j] {
 					continue
 				}
 				if direct {
@@ -455,7 +457,7 @@ func (ls *laneState) place() {
 func (ls *laneState) put(j int, m Msg, fi, wi int) (int, int) {
 	st := ls.st
 	copies := 1
-	if st.cfg.Adversary != nil {
+	if st.adv != nil {
 		copies = int(ls.fateCopies[fi])
 		if swap := ls.fateSwap[fi]; swap != nil {
 			m.Tag, m.Payload = 0, swap

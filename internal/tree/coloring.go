@@ -68,7 +68,7 @@ type cvMachine struct {
 }
 
 func (m *cvMachine) Send(c *core.StageCtx) []runtime.Out {
-	return c.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), treeColor{C: m.color})
+	return c.BroadcastActive(m.mem.NbrOut, treeColor{C: m.color})
 }
 
 // parentColor extracts the parent's announced color; ok is false when the
@@ -167,7 +167,7 @@ type from3Machine struct {
 func (m *from3Machine) Send(c *core.StageCtx) []runtime.Out {
 	switch c.StageRound() {
 	case 1:
-		outs := c.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), treeColor{C: m.mem.Color})
+		outs := c.BroadcastActive(m.mem.NbrOut, treeColor{C: m.mem.Color})
 		if m.mem.Color == 1 {
 			c.Output(1)
 		}

@@ -157,7 +157,7 @@ func (m *rootsLeavesMachine) Send(c *core.StageCtx) []runtime.Out {
 		}
 		if len(mem.ActiveChildren(c.Info())) == 0 {
 			m.wasLeaf = true
-			return []runtime.Out{{To: mem.ParentID, Payload: leafMsg{}}}
+			return c.BroadcastTo([]int{mem.ParentID}, leafMsg{})
 		}
 		return nil
 	}

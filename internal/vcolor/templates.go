@@ -114,7 +114,7 @@ func (m *repairMachine) Send(c *core.StageCtx) []runtime.Out {
 	if c.StageRound() == 1 {
 		m.color = m.mem.Color - 1
 	}
-	return c.BroadcastTo(m.mem.ActiveNeighbors(c.Info()), colorMsg{C: m.color})
+	return c.BroadcastActive(m.mem.NbrColor, colorMsg{C: m.color})
 }
 
 func (m *repairMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
