@@ -127,3 +127,44 @@ func TestTradeoffKnob(t *testing.T) {
 		}
 	}
 }
+
+// duplicateAll is an adversary that delivers every message twice.
+type duplicateAll struct{}
+
+func (duplicateAll) Crashes(int) map[int]int { return nil }
+
+func (duplicateAll) Intercept(int, int, int, runtime.Payload, int) runtime.Fate {
+	return runtime.Fate{Extra: 1}
+}
+
+// TestUniformUnderDuplication runs the Δ-doubling algorithm with every
+// message delivered twice: a participant hears each participating
+// neighbor's announcement twice and lists that neighbor twice, so its
+// coloring rounds send to a repeated destination — one message per entry,
+// as for any list — and the run still ends in an MIS.
+func TestUniformUnderDuplication(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for name, g := range map[string]*graph.Graph{
+		"ring15":  graph.Ring(15),
+		"grid6x6": graph.Grid2D(6, 6),
+		"gnp50":   graph.GNP(50, 0.1, rng),
+	} {
+		info := runtime.NodeInfo{N: g.N(), D: g.D(), Delta: g.MaxDegree()}
+		res, err := runtime.Run(runtime.Config{
+			Graph:     g,
+			Factory:   mis.SimpleUniform(),
+			Adversary: duplicateAll{},
+			MaxRounds: mis.UniformMaxRounds(info),
+		})
+		if err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		out := make([]int, g.N())
+		for i, o := range res.Outputs {
+			out[i] = o.(int)
+		}
+		if err := verify.MIS(g, out); err != nil {
+			t.Fatalf("%s: invalid MIS: %v", name, err)
+		}
+	}
+}
