@@ -15,10 +15,12 @@ test:
 # share. ecolor and decomp ride along too: their collect stage and cluster
 # solve run on core's per-node row slices (core.Collect, core.Component).
 # The template golden traces run every registered template on the pool and
-# on two shards, so the staged broadcast path is race-checked end to end.
+# on two shards, so the staged broadcast path is race-checked end to end;
+# FuzzShardParity's seeds run the registry on several shard counts, so the
+# chunked placement of sharded runs is too.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/core/ ./internal/shard/ ./internal/mis/ ./internal/matching/ ./internal/ecolor/ ./internal/decomp/
-	$(GO) test -race -run TestTemplateGoldenTraces .
+	$(GO) test -race -run 'TestTemplateGoldenTraces|FuzzShardParity' .
 
 # The problem/algorithm registry (also the README's algorithm table).
 list:

@@ -8,8 +8,8 @@
 // Checked sites: composite literals of the runtime.Out message struct,
 // assignments to an Out's Payload field, and the payload — the last
 // argument — of every Broadcast/BroadcastTo/BroadcastActive/BroadcastMasked
-// call: runtime.Broadcast, the Env.Broadcast and Env.BroadcastMasked
-// batches, and the core.StageCtx broadcast methods.
+// call: the Env.Broadcast and Env.BroadcastMasked batches, the
+// core.StageCtx broadcast methods, and any function of those names.
 // Payloads typed as interfaces are skipped (they are checked where their
 // concrete values are built).
 package bitsize

@@ -50,13 +50,15 @@ func (m *bwMachine) Send(c *core.StageCtx) []runtime.Out {
 		if m.mem.Pred != color || m.gotOne {
 			return nil
 		}
-		active := m.mem.ActiveNeighbors(c.Info())
-		for _, nb := range active {
-			if p, _ := m.mem.NbrPred.Get(nb); p == color && nb > c.ID() {
+		for k, nb := range c.Info().NeighborIDs {
+			if _, done := m.mem.NbrOut.At(k); done {
+				continue
+			}
+			if p, _ := m.mem.NbrPred.At(k); p == color && nb > c.ID() {
 				return nil
 			}
 		}
-		return c.BroadcastTo(active, notifyThenOutput(c, 1))
+		return c.BroadcastActive(m.mem.NbrOut, notifyThenOutput(c, 1))
 	}
 	if m.gotOne {
 		return notifyAndOutput(c, m.mem, 0)

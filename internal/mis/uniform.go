@@ -153,7 +153,9 @@ func (m *uniformMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
 		case participate:
-			if r == 1 {
+			// The inbox is sorted by sender, so a duplicated announcement
+			// sits next to its original and is listed once.
+			if r == 1 && (len(m.partNbrs) == 0 || m.partNbrs[len(m.partNbrs)-1] != msg.From) {
 				m.partNbrs = append(m.partNbrs, msg.From)
 			}
 		case uColor:

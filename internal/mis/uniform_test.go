@@ -128,20 +128,27 @@ func TestTradeoffKnob(t *testing.T) {
 	}
 }
 
-// duplicateAll is an adversary that delivers every message twice.
-type duplicateAll struct{}
+// duplicateAll is an adversary that delivers every message twice. It
+// counts the uColor messages it is asked about per round, sender and
+// receiver, so a test can see a repeated destination in one batch.
+type duplicateAll struct {
+	colors map[[3]int]int
+}
 
-func (duplicateAll) Crashes(int) map[int]int { return nil }
+func (*duplicateAll) Crashes(int) map[int]int { return nil }
 
-func (duplicateAll) Intercept(int, int, int, runtime.Payload, int) runtime.Fate {
+func (a *duplicateAll) Intercept(round, from, to int, p runtime.Payload, _ int) runtime.Fate {
+	if _, ok := p.(mis.UColor); ok {
+		a.colors[[3]int{round, from, to}]++
+	}
 	return runtime.Fate{Extra: 1}
 }
 
 // TestUniformUnderDuplication runs the Δ-doubling algorithm with every
 // message delivered twice: a participant hears each participating
-// neighbor's announcement twice and lists that neighbor twice, so its
-// coloring rounds send to a repeated destination — one message per entry,
-// as for any list — and the run still ends in an MIS.
+// neighbor's announcement twice but lists that neighbor once, so no
+// coloring round sends one neighbor two uColor messages, and the run still
+// ends in an MIS.
 func TestUniformUnderDuplication(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, g := range map[string]*graph.Graph{
@@ -150,14 +157,23 @@ func TestUniformUnderDuplication(t *testing.T) {
 		"gnp50":   graph.GNP(50, 0.1, rng),
 	} {
 		info := runtime.NodeInfo{N: g.N(), D: g.D(), Delta: g.MaxDegree()}
+		adv := &duplicateAll{colors: map[[3]int]int{}}
 		res, err := runtime.Run(runtime.Config{
 			Graph:     g,
 			Factory:   mis.SimpleUniform(),
-			Adversary: duplicateAll{},
+			Adversary: adv,
 			MaxRounds: mis.UniformMaxRounds(info),
 		})
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
+		}
+		if len(adv.colors) == 0 {
+			t.Fatalf("%s: no uColor message was sent; the case checks nothing", name)
+		}
+		for k, n := range adv.colors {
+			if n > 1 {
+				t.Fatalf("%s: round %d: node %d sent node %d %d uColor messages", name, k[0], k[1], k[2], n)
+			}
 		}
 		out := make([]int, g.N())
 		for i, o := range res.Outputs {

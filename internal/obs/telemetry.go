@@ -48,9 +48,9 @@ func (t *Telemetry) Registry() *Registry {
 // DefaultDurationBuckets), or nil on a nil receiver. The engine resolves
 // these once per run on the cold setup path and observes into the returned
 // histogram from the round loop — label formatting never happens on the hot
-// path. The shards label is the run's configured shard count: lanes of one
-// round run concurrently, so phase wall time is measured per round at the
-// supervisor, not per lane.
+// path. The shards label is the run's configured shard count: the chunks
+// of one phase run concurrently, so phase wall time is measured per round
+// at the supervisor, not per chunk or shard.
 func (t *Telemetry) RoundHistogram(phase string, shards int) *Histogram {
 	if t == nil {
 		return nil

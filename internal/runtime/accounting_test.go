@@ -42,7 +42,7 @@ func (m *bcastMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Broadcast(sizedPayload{v: env.ID()})
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), sizedPayload{v: env.ID()})
+	return broadcast(env, sizedPayload{v: env.ID()})
 }
 
 func (m *bcastMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {

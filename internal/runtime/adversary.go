@@ -11,7 +11,7 @@ package runtime
 // of Run and then calls Intercept from a single goroutine, in the engine's
 // routing order (senders by ascending identifier; each sender's returned
 // []Out in slice order, its broadcast batch in ascending neighbor
-// identifier order) — an order that is identical for every lane count and
+// identifier order) — an order that is identical for every shard count and
 // pool setting. An adversary that derives its decisions deterministically from
 // that call sequence (e.g. a seeded PRNG, see internal/runtime/fault)
 // therefore injects byte-for-byte identical faults in every engine

@@ -96,7 +96,7 @@ func maskFactory(batched bool) runtime.Factory {
 
 // TestMaskedBroadcastParity runs the batched and the []Out machines on a
 // graph with shuffled identifiers and on a star whose center spans three
-// mask words, on one lane, on the worker pool and on two shards, clean and
+// mask words, on one shard, on the worker pool and on two shards, clean and
 // under drop, duplication and corruption, and requires identical runs.
 func TestMaskedBroadcastParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))

@@ -30,7 +30,7 @@ func (m *panicMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Terminate()
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), echoPayload{Round: env.Round(), From: env.ID()})
+	return broadcast(env, echoPayload{Round: env.Round(), From: env.ID()})
 }
 
 func (m *panicMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
@@ -98,8 +98,8 @@ func (m *wedgedMachine) Send(env *runtime.Env) []runtime.Out {
 
 func (m *wedgedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {}
 
-// TestRoundDeadline covers deadline abandonment on every lane layout: one
-// lane run inline or cut into chunks for the worker set, and two lanes on
+// TestRoundDeadline covers deadline abandonment on every worker layout: one
+// shard run inline or cut into chunks for the worker set, and two shards on
 // the worker set, each sequential and Parallel.
 func TestRoundDeadline(t *testing.T) {
 	for _, parallel := range []bool{false, true} {

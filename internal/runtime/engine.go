@@ -21,26 +21,29 @@ type Config struct {
 	// Predictions, when non-nil, must have length Graph.N(); Predictions[i]
 	// is handed to the factory for node index i.
 	Predictions []any
-	// Parallel cuts each lane's send/receive phases into ⌈GOMAXPROCS/S⌉
-	// contiguous chunks (S lanes, see Shards), run by the run's one worker
-	// set of S·⌈GOMAXPROCS/S⌉ executors, created once per Run and driven by
-	// phase signals with a barrier between phases. Without it each lane is
-	// one chunk. Semantics are identical with or without it.
+	// Parallel gives the run's one worker set S·⌈GOMAXPROCS/S⌉ executors
+	// instead of S (S shards, see Shards; never more than n): every phase
+	// cuts the one frontier into that many contiguous chunks. The set is
+	// created once per Run and driven by phase signals with a barrier
+	// between phases. Semantics are identical with or without it.
 	Parallel bool
-	// Shards sets the engine's lane count S. The engine always executes as
-	// lanes, each owning a node set and its frontier lists, over one shared
-	// inbox arena; 0 and 1 give one lane over the whole graph. With Shards
+	// Shards sets the shard count S; 0 and 1 give one shard. With Shards
 	// >= 2 the graph is partitioned into Shards node sets (contiguous index
-	// ranges unless Partition overrides the strategy), each lane places its
-	// own senders' deliveries, and deliveries across the partition cut land
-	// straight in their slots. The determinism contract extends across lane
-	// counts: results, error surfaces, and trace streams (EvShardExchange
-	// ledgers, emitted only with two or more lanes, excepted) are identical
-	// for every Shards value. See internal/runtime/shard.go.
+	// ranges unless Partition overrides the strategy), and the engine keeps
+	// per-shard delivery ledgers, booking deliveries across the partition
+	// cut as boundary traffic. Shards do not split the work: each phase
+	// cuts the one frontier into S·k chunks (k = 1, or ⌈GOMAXPROCS/S⌉ under
+	// Parallel), and placement on a sharded run writes every delivery
+	// straight to the slot a serial counting pass fixed. The determinism
+	// contract extends across shard counts: results, error surfaces, and
+	// trace streams (EvShardExchange ledgers, emitted only with two or more
+	// shards, excepted) are identical for every Shards value. See
+	// internal/runtime/shard.go.
 	Shards int
-	// Partition, when non-nil, fixes the node→lane assignment (e.g.
-	// shard.GreedyEdgeCut); its shard count must agree with Shards when both
-	// are set. nil with Shards >= 2 selects shard.Contiguous.
+	// Partition, when non-nil, fixes the node→shard assignment the ledgers
+	// are kept by (e.g. shard.GreedyEdgeCut); its shard count must agree
+	// with Shards when both are set. nil with Shards >= 2 selects
+	// shard.Contiguous.
 	Partition *shard.Partition
 	// MaxRounds caps the execution; 0 selects 8*n + 64, a generous bound for
 	// every algorithm in this repository (all are O(n)-round or better).
@@ -68,7 +71,7 @@ type Config struct {
 	Stats func(RoundStats)
 	// Trace, when non-nil, receives the run's typed event stream (see
 	// internal/obs for the taxonomy). All events are emitted from the
-	// engine's main goroutine in an order identical for every lane count
+	// engine's main goroutine in an order identical for every shard count
 	// and pool setting; only wall-clock durations differ. Purely
 	// observational. When nil the instrumented paths reduce to a nil check.
 	Trace *obs.Recorder
@@ -97,7 +100,7 @@ type RoundStats struct {
 	// Active is the number of nodes that participated in this round.
 	Active int
 	// Shards holds the per-shard delivery ledgers of a round on two or more
-	// lanes, from Shards or Partition (nil otherwise — a single lane's
+	// shards, from Shards or Partition (nil otherwise — a single shard's
 	// ledger is the global fields above). Indexed by shard; the slice is
 	// reused across rounds, copy to keep.
 	Shards []ShardRoundStats
@@ -240,7 +243,7 @@ func Run(cfg Config) (*Result, error) {
 	// it would race, so an abandoned worker set leaks with it.
 	defer func() {
 		if !st.abandoned {
-			st.closeLanes()
+			st.closeWorkers()
 		}
 	}()
 	res := &Result{
@@ -283,7 +286,7 @@ func Run(cfg Config) (*Result, error) {
 		if telemetry {
 			mark = telObserve(st.telSend, mark)
 		}
-		st.routeLanes(round, res)
+		st.route(round, res)
 		if telemetry {
 			mark = telObserve(st.telRoute, mark)
 		}
@@ -490,20 +493,25 @@ type state struct {
 	// the workers' channels, so Run must not close them.
 	abandoned bool
 
-	// lanes are the frontier partitions (see shard.go); there is always at
-	// least one. laneOf/shardStats exist only with two or more lanes: laneOf
-	// maps node index to lane, shardStats holds the per-shard round ledgers.
-	lanes      []*laneState
-	laneOf     []int32
+	// shardOf/shardStats/within exist only on a partition with two or more
+	// shards (see shard.go): shardOf maps node index to shard, shardStats
+	// holds the per-shard round ledgers, and within replays each surviving
+	// delivery's destination-region cursor to the placement pass.
+	shardOf    []int32
 	shardStats []ShardRoundStats
-	// work/done/tasks/chunks are the worker set: one task channel per
+	within     []int32
+	// fateCopies/fateSwap replay the adversary's verdicts, one entry per
+	// intercepted message in counting order, to the placement pass.
+	fateCopies []int32
+	fateSwap   []Payload
+	// work/done/tasks/workers are the worker set: one task channel per
 	// worker goroutine (the dispatcher is the set's other executor), the
 	// phase barrier's completion channel, the reused task list, and the
-	// chunks per lane in a send or receive phase.
-	work   []chan task
-	done   chan struct{}
-	tasks  []task
-	chunks int
+	// executor count W.
+	work    []chan task
+	done    chan struct{}
+	tasks   []task
+	workers int
 
 	// maxMsgBits/localOnly accumulate Result.MaxMsgBits: the largest sized
 	// payload seen (-1 before any), and whether an unsized payload was seen.
@@ -631,13 +639,13 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 	st.activeCount = n
 	// Run has already validated the schedule (indices in range, rounds >= 1).
 	st.crashSched = buildCrashSched(crashes)
-	st.initLanes(part)
+	st.initWorkers(part)
 	if cfg.Telemetry != nil {
-		lanes := len(st.lanes)
-		st.telSend = cfg.Telemetry.RoundHistogram("send", lanes)
-		st.telRoute = cfg.Telemetry.RoundHistogram("route", lanes)
-		st.telReceive = cfg.Telemetry.RoundHistogram("receive", lanes)
-		st.telRound = cfg.Telemetry.RoundHistogram("round", lanes)
+		shards := max(1, len(st.shardStats))
+		st.telSend = cfg.Telemetry.RoundHistogram("send", shards)
+		st.telRoute = cfg.Telemetry.RoundHistogram("route", shards)
+		st.telReceive = cfg.Telemetry.RoundHistogram("receive", shards)
+		st.telRound = cfg.Telemetry.RoundHistogram("round", shards)
 	}
 	return st
 }
@@ -686,7 +694,6 @@ func (st *state) beginRound(round int) {
 		}
 	}
 	st.actByID = st.actByID[:k]
-	st.compactLanes()
 }
 
 // searchIDs returns the position of id in the ascending slice a, or len(a)
@@ -958,7 +965,7 @@ func (st *state) firstError() error {
 // the abandoned goroutine may still be mid-dispatch on the worker set, so
 // the workers are abandoned (leaked) with it rather than closed underneath
 // it — a deadline abort is terminal by contract.
-func (st *state) phase(cmd laneCmd, round int, name string) error {
+func (st *state) phase(cmd phaseCmd, round int, name string) error {
 	if st.cfg.RoundDeadline <= 0 {
 		st.runPhase(cmd)
 		return nil

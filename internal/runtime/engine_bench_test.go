@@ -188,7 +188,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		// the engine walks the CSR neighbor range directly.
 		{"seq-bcast", false, true, 0, 8, false},
 		{"par-bcast", true, true, 0, 16, false},
-		// Sharded modes: one shard is the same single lane as seq and must
+		// Sharded modes: one shard is the same path as seq and must
 		// hold the same ~0 figure; multi-shard rounds reuse the shared
 		// arena, task list, and cursor streams, so steady state stays ~0
 		// there too (the wider budget is barrier/GC noise).

@@ -195,16 +195,19 @@ func (c *Chaos) loseShard(out map[int]int, part *shard.Partition, s, round int) 
 		return out
 	}
 	c.stats.LostShards++
-	for _, i := range part.Nodes[s] {
+	for i, sh := range part.Of {
+		if int(sh) != s {
+			continue
+		}
 		if out == nil {
 			out = make(map[int]int)
 		}
-		cur, seen := out[int(i)]
+		cur, seen := out[i]
 		if !seen {
 			c.stats.Crashed++
 		}
 		if !seen || round < cur {
-			out[int(i)] = round
+			out[i] = round
 		}
 	}
 	return out

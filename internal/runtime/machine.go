@@ -6,18 +6,18 @@
 // local computation, optionally assigns its output, and terminates
 // immediately after producing its last output.
 //
-// The engine has one execution path: every run is S lanes (see shard.go),
-// partitions of the frontier that deliver into one shared inbox arena, and
-// one worker set runs every lane's send, placement and receive phases with
-// a barrier between phases. A run without Config.Shards/Config.Partition is
-// one lane; with S >= 2 each lane places its own senders' deliveries,
-// across the partition cut included, at slots fixed by a serial counting
-// pass. Config.Parallel cuts every lane's send and receive phases into
-// chunks for more workers (created once per run, signalled each phase).
-// Every lane count and Parallel setting is deterministic and produces
-// byte-identical results and traces; golden digests, tests and
+// The engine has one execution path (see shard.go): every phase cuts the
+// one frontier into contiguous chunks for one worker set, with a barrier
+// between phases, and every delivery lands in one shared inbox arena. A run
+// without Config.Shards/Config.Partition is one shard; with S >= 2 shards
+// the partition labels the per-shard delivery ledgers, and the placement
+// chunks write every delivery, across the partition cut included, at slots
+// fixed by a serial counting pass. Config.Parallel cuts every phase into
+// more chunks for more workers (created once per run, signalled each
+// phase). Every shard count and Parallel setting is deterministic and
+// produces byte-identical results and traces; golden digests, tests and
 // FuzzShardParity assert this. Engine buffers (the inbox arena, routing
-// state, lane streams) are recycled across rounds, so steady-state rounds
+// state, replay streams) are recycled across rounds, so steady-state rounds
 // allocate nothing in the engine itself.
 //
 // Message sizes are accounted when payloads implement BitSized, allowing
@@ -284,8 +284,9 @@ func (e *Env) Annotate(name string, value int64) {
 
 // Broadcast asks the engine to deliver payload to every neighbor this
 // round, without materializing a per-neighbor []Out: the untagged, unmasked
-// case of BroadcastMasked. It is the zero-allocation counterpart of
-// returning Broadcast(env.Info(), payload) from Send.
+// case of BroadcastMasked. It delivers what returning one Out per neighbor
+// from Send would, without allocating them. Template stages reach it
+// through core.StageCtx.Broadcast.
 //
 //dgp:hotpath
 func (e *Env) Broadcast(payload Payload) { e.BroadcastMasked(0, nil, payload) }
@@ -326,15 +327,4 @@ func (e *Env) fail(err error) {
 	if e.err == nil {
 		e.err = fmt.Errorf("node %d round %d: %w", e.id, e.round, err)
 	}
-}
-
-// Broadcast builds one Out per neighbor carrying payload, in a new slice.
-// Env.Broadcast and Env.BroadcastMasked send the same batch without one;
-// template stages reach them through core.StageCtx.Broadcast.
-func Broadcast(info NodeInfo, payload Payload) []Out {
-	outs := make([]Out, len(info.NeighborIDs))
-	for i, nb := range info.NeighborIDs {
-		outs[i] = Out{To: nb, Payload: payload}
-	}
-	return outs
 }

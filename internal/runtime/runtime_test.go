@@ -13,6 +13,18 @@ import (
 	"repro/internal/runtime/fault"
 )
 
+// broadcast builds one Out per neighbor of env carrying payload: the
+// []Out form of Env.Broadcast, which routes through the engine's
+// per-message path.
+func broadcast(env *runtime.Env, payload runtime.Payload) []runtime.Out {
+	ids := env.Info().NeighborIDs
+	outs := make([]runtime.Out, len(ids))
+	for i, nb := range ids {
+		outs[i] = runtime.Out{To: nb, Payload: payload}
+	}
+	return outs
+}
+
 // echoMachine broadcasts its round number until a limit, then outputs the
 // multiset of (sender, payload) pairs it heard, as a canonical string.
 type echoMachine struct {
@@ -30,7 +42,7 @@ func (m *echoMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Terminate()
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), echoPayload{Round: env.Round(), From: env.ID()})
+	return broadcast(env, echoPayload{Round: env.Round(), From: env.ID()})
 }
 
 func (m *echoMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
@@ -112,7 +124,7 @@ func (m *terminateInSend) Send(env *runtime.Env) []runtime.Out {
 	m.done = true
 	env.Output(1)
 	env.Terminate()
-	return runtime.Broadcast(env.Info(), "bye")
+	return broadcast(env, "bye")
 }
 
 func (m *terminateInSend) Receive(env *runtime.Env, inbox []runtime.Msg) {
@@ -193,7 +205,7 @@ func (m *crashProbe) Send(env *runtime.Env) []runtime.Out {
 		env.Terminate()
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), "ping")
+	return broadcast(env, "ping")
 }
 
 func (m *crashProbe) Receive(env *runtime.Env, inbox []runtime.Msg) {
@@ -249,7 +261,7 @@ func (m *abortMachine) Send(env *runtime.Env) []runtime.Out {
 		case "panic":
 			panic("abort test")
 		case "congest":
-			return runtime.Broadcast(env.Info(), bigPayload{})
+			return broadcast(env, bigPayload{})
 		case "deadline":
 			<-m.block
 		}
@@ -391,7 +403,7 @@ func (m *inboxOrderMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Terminate()
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), env.ID())
+	return broadcast(env, env.ID())
 }
 
 func (m *inboxOrderMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
@@ -435,7 +447,7 @@ func (m *unsizedMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Terminate()
 		return nil
 	}
-	return runtime.Broadcast(env.Info(), struct{ X []int }{X: []int{1, 2, 3}})
+	return broadcast(env, struct{ X []int }{X: []int{1, 2, 3}})
 }
 
 func (m *unsizedMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {}

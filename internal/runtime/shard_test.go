@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -145,9 +146,13 @@ func TestShardSingleExactTrace(t *testing.T) {
 
 // TestShardGreedyPartitionParity runs the contract over the seeded greedy
 // edge-cut partitioner, and over the worst possible cut, node i in shard
-// i mod s, where nearly every delivery and duplicate copy crosses lanes: an
-// arbitrary node→shard assignment must not change any observable either.
+// i mod s, where nearly every delivery and duplicate copy crosses shards:
+// an arbitrary node→shard assignment must not change any observable
+// either. It runs under GOMAXPROCS 4, so the Parallel cases cut the
+// frontier into more chunks than there are shards (W = 4 on two shards),
+// and every chunk holds nodes of several shards.
 func TestShardGreedyPartitionParity(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(9))
 	g := graph.BarabasiAlbert(80, 2, rng)
 	off, adj := g.CSR()
@@ -172,9 +177,11 @@ func TestShardGreedyPartitionParity(t *testing.T) {
 			if err := c.part.Validate(g.N()); err != nil {
 				t.Fatal(err)
 			}
-			res, err, stats, trace := shardRun(t, g, echoFactory(3), policy, 0, c.part, true)
-			assertShardParity(t, fmt.Sprintf("%s/shards=%d", c.name, s),
-				refRes, refErr, refStats, refTrace, res, err, stats, trace)
+			for _, parallel := range []bool{false, true} {
+				res, err, stats, trace := shardRun(t, g, echoFactory(3), policy, 0, c.part, parallel)
+				assertShardParity(t, fmt.Sprintf("%s/shards=%d/parallel=%v", c.name, s, parallel),
+					refRes, refErr, refStats, refTrace, res, err, stats, trace)
+			}
 		}
 	}
 }
@@ -371,7 +378,7 @@ func TestShardConfigValidation(t *testing.T) {
 		t.Fatalf("wrong-size partition: %v, want ErrConfig", err)
 	}
 
-	// Shards beyond n leaves some lanes empty but is legal.
+	// Shards beyond n leaves some shards empty but is legal.
 	cfg = base
 	cfg.Shards = 16
 	if _, err := runtime.Run(cfg); err != nil {
@@ -380,8 +387,7 @@ func TestShardConfigValidation(t *testing.T) {
 }
 
 // TestShardCrashParity exercises explicit crash schedules across shard
-// counts: crashed nodes leave their lane's frontier exactly as they leave
-// the global one.
+// counts: crashed nodes leave the frontier exactly as on one shard.
 func TestShardCrashParity(t *testing.T) {
 	g := graph.Ring(40)
 	crashes := map[int]int{3: 1, 11: 2, 12: 2, 39: 3}

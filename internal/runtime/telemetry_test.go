@@ -10,9 +10,9 @@ import (
 )
 
 // TestEngineTelemetryPhases checks that an attached Telemetry records one
-// observation per round in each phase histogram, for one lane (sequential
-// and Parallel) and four lanes (from Shards or from a Partition), that the
-// shards label carries the lane count, and that attaching it changes no
+// observation per round in each phase histogram, for one shard (sequential
+// and Parallel) and four shards (from Shards or from a Partition), that the
+// shards label carries the shard count, and that attaching it changes no
 // result.
 func TestEngineTelemetryPhases(t *testing.T) {
 	const n, rounds = 64, 5
@@ -22,7 +22,7 @@ func TestEngineTelemetryPhases(t *testing.T) {
 		parallel bool
 		shards   int
 		part     *shard.Partition
-		lanes    int
+		label    int
 	}{
 		{"seq", false, 0, nil, 1},
 		{"par", true, 0, nil, 1},
@@ -68,7 +68,7 @@ func TestEngineTelemetryPhases(t *testing.T) {
 				seen[h.Name] = true
 			}
 			for _, phase := range []string{"send", "route", "receive", "round"} {
-				want := `dgp_round_seconds{phase="` + phase + `",shards="` + itoa(mode.lanes) + `"}`
+				want := `dgp_round_seconds{phase="` + phase + `",shards="` + itoa(mode.label) + `"}`
 				if !seen[want] {
 					t.Errorf("missing series %s (have %v)", want, seen)
 				}

@@ -1,8 +1,9 @@
 // Package shard partitions the communication graph for the engine's
-// multi-lane execution (Config.Shards in internal/runtime): each of S lanes
-// owns a disjoint slice of the node set and runs the per-node phases and
-// the placement of its own senders' deliveries, all into one shared inbox
-// arena; the traffic that crosses lanes tracks the edge cut, not n.
+// per-shard ledgers (Config.Shards in internal/runtime): each node belongs
+// to one of S shards, and the engine books every round's deliveries by
+// destination shard and the traffic crossing between shards, which tracks
+// the edge cut, not n. A partition does not split the engine's work: every
+// phase cuts the one frontier into chunks, whatever the shard count.
 //
 // The package provides the two partitioning strategies over the engine's
 // CSR arrays — contiguous index ranges (the deterministic default) and a
@@ -32,39 +33,16 @@ type Partition struct {
 	S int
 	// Of maps node index to its owning shard, len n.
 	Of []int32
-	// Nodes lists each shard's node indexes in ascending order.
-	Nodes [][]int32
 }
 
-// New builds a Partition from an explicit node→shard assignment, deriving
-// the per-shard node lists. The assignment is validated: s must be at least
-// 1 and every entry in [0, s).
+// New builds a Partition from an explicit node→shard assignment. The
+// assignment is validated: s must be at least 1 and every entry in [0, s).
 func New(s int, of []int32) (*Partition, error) {
-	if s < 1 {
-		return nil, fmt.Errorf("%w: %d shards; need at least 1", ErrPartition, s)
+	p := &Partition{S: s, Of: of}
+	if err := p.Validate(len(of)); err != nil {
+		return nil, err
 	}
-	for i, sh := range of {
-		if sh < 0 || int(sh) >= s {
-			return nil, fmt.Errorf("%w: node %d assigned to shard %d; range is [0, %d)", ErrPartition, i, sh, s)
-		}
-	}
-	return build(s, of), nil
-}
-
-// build derives the per-shard node lists from a known-valid assignment.
-func build(s int, of []int32) *Partition {
-	counts := make([]int, s)
-	for _, sh := range of {
-		counts[sh]++
-	}
-	p := &Partition{S: s, Of: of, Nodes: make([][]int32, s)}
-	for sh := range p.Nodes {
-		p.Nodes[sh] = make([]int32, 0, counts[sh])
-	}
-	for i, sh := range of {
-		p.Nodes[sh] = append(p.Nodes[sh], int32(i))
-	}
-	return p
+	return p, nil
 }
 
 // Contiguous splits n node indexes into s contiguous ranges of near-equal
@@ -88,7 +66,7 @@ func Contiguous(n, s int) *Partition {
 			i++
 		}
 	}
-	return build(s, of)
+	return &Partition{S: s, Of: of}
 }
 
 // GreedyEdgeCut assigns nodes to s shards with a seeded greedy heuristic
@@ -135,13 +113,11 @@ func GreedyEdgeCut(n int, off, adj []int32, s int, seed int64) *Partition {
 		of[i] = int32(best)
 		load[best]++
 	}
-	return build(s, of)
+	return &Partition{S: s, Of: of}
 }
 
 // Validate checks the partition against an n-node graph: the assignment
-// covers exactly n nodes, every shard index is in range, and the per-shard
-// node lists are consistent with Of (every node listed exactly once by its
-// owner, in ascending order).
+// covers exactly n nodes and every shard index is in [0, S).
 func (p *Partition) Validate(n int) error {
 	if p.S < 1 {
 		return fmt.Errorf("%w: %d shards; need at least 1", ErrPartition, p.S)
@@ -149,28 +125,10 @@ func (p *Partition) Validate(n int) error {
 	if len(p.Of) != n {
 		return fmt.Errorf("%w: assignment covers %d nodes; graph has %d", ErrPartition, len(p.Of), n)
 	}
-	if len(p.Nodes) != p.S {
-		return fmt.Errorf("%w: %d node lists for %d shards", ErrPartition, len(p.Nodes), p.S)
-	}
-	total := 0
-	for sh, nodes := range p.Nodes {
-		prev := int32(-1)
-		for _, i := range nodes {
-			if i < 0 || int(i) >= n {
-				return fmt.Errorf("%w: shard %d lists node %d; range is [0, %d)", ErrPartition, sh, i, n)
-			}
-			if i <= prev {
-				return fmt.Errorf("%w: shard %d node list not strictly ascending at node %d", ErrPartition, sh, i)
-			}
-			if p.Of[i] != int32(sh) {
-				return fmt.Errorf("%w: shard %d lists node %d owned by shard %d", ErrPartition, sh, i, p.Of[i])
-			}
-			prev = i
+	for i, sh := range p.Of {
+		if sh < 0 || int(sh) >= p.S {
+			return fmt.Errorf("%w: node %d assigned to shard %d; range is [0, %d)", ErrPartition, i, sh, p.S)
 		}
-		total += len(nodes)
-	}
-	if total != n {
-		return fmt.Errorf("%w: node lists cover %d of %d nodes", ErrPartition, total, n)
 	}
 	return nil
 }

@@ -22,6 +22,15 @@ func ringCSR(n int) (off, adj []int32) {
 	return off, adj
 }
 
+// sizes counts each shard's nodes.
+func sizes(p *Partition) []int {
+	out := make([]int, p.S)
+	for _, sh := range p.Of {
+		out[sh]++
+	}
+	return out
+}
+
 func TestContiguousBalanced(t *testing.T) {
 	for _, tc := range []struct{ n, s int }{
 		{0, 1}, {0, 4}, {1, 1}, {7, 3}, {12, 4}, {100, 8}, {5, 8},
@@ -34,23 +43,17 @@ func TestContiguousBalanced(t *testing.T) {
 			t.Fatalf("Contiguous(%d,%d): %v", tc.n, tc.s, err)
 		}
 		lo, hi := tc.n, 0
-		for _, nodes := range p.Nodes {
-			if len(nodes) < lo {
-				lo = len(nodes)
-			}
-			if len(nodes) > hi {
-				hi = len(nodes)
-			}
+		for _, size := range sizes(p) {
+			lo, hi = min(lo, size), max(hi, size)
 		}
 		if tc.n > 0 && hi-lo > 1 {
 			t.Fatalf("Contiguous(%d,%d): shard sizes spread %d..%d", tc.n, tc.s, lo, hi)
 		}
-		// Contiguity: every shard's nodes form one index interval.
-		for sh, nodes := range p.Nodes {
-			for k := 1; k < len(nodes); k++ {
-				if nodes[k] != nodes[k-1]+1 {
-					t.Fatalf("Contiguous(%d,%d): shard %d not contiguous", tc.n, tc.s, sh)
-				}
+		// Contiguity: the assignment never steps back to an earlier shard,
+		// so every shard's nodes form one index interval.
+		for i := 1; i < len(p.Of); i++ {
+			if p.Of[i] < p.Of[i-1] {
+				t.Fatalf("Contiguous(%d,%d): shard %d not contiguous", tc.n, tc.s, p.Of[i])
 			}
 		}
 	}
@@ -79,9 +82,9 @@ func TestGreedyEdgeCutDeterministicAndBalanced(t *testing.T) {
 		}
 	}
 	limit := (97 + 4) / 5
-	for sh, nodes := range a.Nodes {
-		if len(nodes) > limit {
-			t.Fatalf("shard %d holds %d nodes; balance cap is %d", sh, len(nodes), limit)
+	for sh, size := range sizes(a) {
+		if size > limit {
+			t.Fatalf("shard %d holds %d nodes; balance cap is %d", sh, size, limit)
 		}
 	}
 	// The greedy heuristic should not be worse than a blind split on a ring.
@@ -106,5 +109,11 @@ func TestNewRejectsBadAssignments(t *testing.T) {
 	}
 	if err := p.Validate(4); err == nil {
 		t.Fatal("Validate accepted wrong n")
+	}
+	if err := (&Partition{S: 2, Of: []int32{0, -1, 1}}).Validate(3); err == nil {
+		t.Fatal("Validate accepted a negative shard")
+	}
+	if err := (&Partition{S: 0}).Validate(0); err == nil {
+		t.Fatal("Validate accepted zero shards")
 	}
 }

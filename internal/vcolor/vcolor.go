@@ -53,11 +53,6 @@ type PaletteMemory interface {
 	ForbiddenColors() []int
 }
 
-// ActiveNeighbors returns neighbors not known to have terminated.
-func (m *Memory) ActiveNeighbors(info runtime.NodeInfo) []int {
-	return m.NbrColor.Missing()
-}
-
 // colorNotify is sent just before a node terminates with its color.
 type colorNotify struct{ C int }
 
@@ -170,14 +165,13 @@ func MeasureUniform(budget int) core.Stage {
 type greedyMachine struct{ mem *Memory }
 
 func (m *greedyMachine) Send(c *core.StageCtx) []runtime.Out {
-	active := m.mem.ActiveNeighbors(c.Info())
-	for _, nb := range active {
-		if nb > c.ID() {
+	for k, nb := range c.Info().NeighborIDs {
+		if _, done := m.mem.NbrColor.At(k); !done && nb > c.ID() {
 			return nil
 		}
 	}
 	color := smallestFreePalette(c.Info().Delta+1, m.mem.ForbiddenColors())
-	outs := c.BroadcastTo(active, colorNotify{C: color})
+	outs := c.BroadcastActive(m.mem.NbrColor, colorNotify{C: color})
 	c.Output(color)
 	return outs
 }

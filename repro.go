@@ -152,15 +152,18 @@ const Unmatched = predict.Unmatched
 
 // Options configures a run.
 type Options struct {
-	// Parallel runs each engine phase on ⌈GOMAXPROCS/S⌉ executors per lane
-	// (S = Shards, at least 1); results are identical.
+	// Parallel cuts each engine phase into S·⌈GOMAXPROCS/S⌉ chunks, run by
+	// as many executors, instead of S (S = Shards, at least 1); results are
+	// identical.
 	Parallel bool
-	// Shards, when 2 or more, splits the graph into Shards lanes: each owns
-	// a partition of the nodes and places its own senders' deliveries into
-	// the run's one inbox arena. Results, error surfaces, and traces are
-	// identical for every value (the engine-level determinism contract);
-	// Shards is a throughput knob, not a semantic one. Composes with
-	// Parallel (⌈GOMAXPROCS/Shards⌉ chunks per lane).
+	// Shards, when 2 or more, partitions the graph into Shards node sets and
+	// keeps per-shard delivery and boundary-traffic ledgers
+	// (runtime.RoundStats.Shards, shard-exchange trace events). The shards
+	// do not split the work: each phase cuts the one frontier into Shards
+	// chunks, or Shards·⌈GOMAXPROCS/Shards⌉ with Parallel. Results, error
+	// surfaces, and traces are identical for every value (the engine-level
+	// determinism contract); Shards is an observation and execution knob,
+	// not a semantic one.
 	Shards int
 	// Partition, when non-nil, fixes the node→shard assignment (see
 	// GreedyPartition); nil with Shards > 1 selects contiguous index ranges,
