@@ -95,6 +95,9 @@ type StageCtx struct {
 	// stage is the index of the stage in its Sequence, under which a
 	// multi-lane stage tags its lanes' messages.
 	stage uint16
+	// pending marks, in a Sequence's own context, a yield observed this
+	// round: the Sequence advances to the next stage at the round's end.
+	pending bool
 	// staged marks a Sequence's own context: its Broadcast methods stage
 	// one batch on the engine's broadcast path (runtime.Env's
 	// BroadcastMasked) under the stage's tag, selecting destinations with

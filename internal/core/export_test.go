@@ -8,7 +8,7 @@ type SeqMachine = seqMachine
 
 // MachineMemory returns the shared memory of a machine built by any
 // template.
-func MachineMemory(m runtime.Machine) any { return m.(*seqMachine).mem }
+func MachineMemory(m runtime.Machine) any { return m.(*seqMachine).ctx.mem }
 
 // MachineStages returns the stage list of a machine built by any template.
-func MachineStages(m runtime.Machine) []Stage { return m.(*seqMachine).stages }
+func MachineStages(m runtime.Machine) []Stage { return *m.(*seqMachine).stages }

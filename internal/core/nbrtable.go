@@ -1,6 +1,9 @@
 package core
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // NbrTable is a node's per-neighbor integer table: one slot per position in
 // the node's ascending NeighborIDs. The problem memories keep what a node
@@ -66,6 +69,15 @@ func (t NbrTable) Has(id int) bool {
 
 // Len returns the number of slots: the node's degree.
 func (t NbrTable) Len() int { return len(t.ids) }
+
+// Count returns the number of slots that hold an entry.
+func (t NbrTable) Count() int {
+	k := 0
+	for _, w := range t.buf[len(t.ids):] {
+		k += bits.OnesCount64(uint64(w))
+	}
+	return k
+}
 
 // At returns the entry of the neighbor at position k of NeighborIDs and
 // whether it is present.

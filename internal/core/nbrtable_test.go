@@ -51,6 +51,10 @@ func TestNbrTable(t *testing.T) {
 	if got := pred.Values(); !reflect.DeepEqual(got, []int{math.MinInt, 4}) {
 		t.Errorf("Values() = %v, want [MinInt 4]", got)
 	}
+	out.Set(5, 3) // overwriting an entry keeps the count
+	if out.Count() != 1 || pred.Count() != 2 {
+		t.Errorf("Count() = %d and %d; want 1 and 2", out.Count(), pred.Count())
+	}
 
 	// Presence bits past the first word stay per slot and per table.
 	wide := make([]int, 130)
@@ -67,13 +71,14 @@ func TestNbrTable(t *testing.T) {
 			t.Fatalf("wide slot %d: At = %d, %v; other table has it: %v", k, v, ok, b.Has(2*k))
 		}
 	}
-	if len(a.Values()) != 44 || len(a.Missing()) != 86 {
-		t.Errorf("wide: %d values, %d missing; want 44, 86", len(a.Values()), len(a.Missing()))
+	if len(a.Values()) != 44 || len(a.Missing()) != 86 || a.Count() != 44 || b.Count() != 0 {
+		t.Errorf("wide: %d values (count %d, other table %d), %d missing; want 44, 86",
+			len(a.Values()), a.Count(), b.Count(), len(a.Missing()))
 	}
 
 	var empty core.NbrTable
 	core.NewNbrTables(nil, &empty)
-	if empty.Has(1) || len(empty.Missing()) != 0 {
+	if empty.Has(1) || len(empty.Missing()) != 0 || empty.Count() != 0 {
 		t.Error("a node without neighbors has entries")
 	}
 }

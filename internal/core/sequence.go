@@ -29,10 +29,17 @@ import (
 // carved from per-run slabs (NodeSlab), so the factory serves one run at a
 // time.
 func Sequence(mem MemoryFactory, stages ...Stage) runtime.Factory {
-	var slabs seqSlabs
+	f := &seqFactory{stages: stages}
 	return func(info runtime.NodeInfo, pred any) runtime.Machine {
-		return newSeqMachine(&slabs, mem, stages, info, pred)
+		return newSeqMachine(&f.slabs, mem, &f.stages, info, pred)
 	}
+}
+
+// seqFactory is a Sequence factory's state: its per-run slabs and the stage
+// list every machine it builds points to.
+type seqFactory struct {
+	slabs  seqSlabs
+	stages []Stage
 }
 
 // seqSlabs are a sequence factory's per-run slabs: the machines with their
@@ -42,9 +49,10 @@ type seqSlabs struct {
 	outboxes NodeSlab[struct{}, runtime.Out]
 }
 
-// newSeqMachine builds node info's sequence machine over stages from
-// slabs, with its shared memory from mem, and enters the first stage.
-func newSeqMachine(slabs *seqSlabs, mem MemoryFactory, stages []Stage, info runtime.NodeInfo, pred any) *seqMachine {
+// newSeqMachine builds node info's sequence machine over the shared stage
+// list from slabs, with its shared memory from mem, and enters the first
+// stage.
+func newSeqMachine(slabs *seqSlabs, mem MemoryFactory, stages *[]Stage, info runtime.NodeInfo, pred any) *seqMachine {
 	var m any
 	if mem != nil {
 		m = mem(info, pred)
@@ -53,38 +61,35 @@ func newSeqMachine(slabs *seqSlabs, mem MemoryFactory, stages []Stage, info runt
 	// Every node takes from the outbox slab, with 0 when it needs no
 	// outbox, so the slab's index-order contract holds.
 	out := 0
-	if slices.ContainsFunc(stages, func(s Stage) bool { return s.lanes }) {
+	if slices.ContainsFunc(*stages, func(s Stage) bool { return s.lanes }) {
 		out = info.Degree()
 	}
 	_, outbox := slabs.outboxes.Take(info, out)
-	*sm = seqMachine{pred: pred, mem: m, stages: stages}
-	sm.ctx.mask, sm.ctx.outbox = mask, outbox[:0]
+	*sm = seqMachine{pred: pred, stages: stages}
+	sm.ctx.mem, sm.ctx.mask, sm.ctx.outbox = m, mask, outbox[:0]
 	sm.enter(0, info)
 	return sm
 }
 
+// seqMachine is one node's Sequence machine. It keeps each fact once: the
+// node's memory and current stage index live in ctx, and the stage list is
+// shared with every node of the factory that runs the same list.
 type seqMachine struct {
-	pred   any
-	mem    any
-	stages []Stage
-
-	cur     int
+	pred    any
+	stages  *[]Stage
 	machine StageMachine
 	ctx     StageCtx
-	pending bool // yield observed; advance at end of round
 }
 
 // enter starts stage k on the node info describes.
 func (s *seqMachine) enter(k int, info runtime.NodeInfo) {
-	s.cur = k
-	if k < len(s.stages) {
-		s.machine = s.stages[k].New(info, s.pred, s.mem)
+	if stages := *s.stages; k < len(stages) {
+		s.machine = stages[k].New(info, s.pred, s.ctx.mem)
 	} else {
 		s.machine = nil
 	}
-	// The mask and outbox outlive the stage: they are the node's.
-	s.ctx = StageCtx{mem: s.mem, stage: uint16(k), staged: true, mask: s.ctx.mask, outbox: s.ctx.outbox}
-	s.pending = false
+	// The memory, mask and outbox outlive the stage: they are the node's.
+	s.ctx = StageCtx{mem: s.ctx.mem, stage: uint16(k), staged: true, mask: s.ctx.mask, outbox: s.ctx.outbox}
 }
 
 func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
@@ -92,7 +97,7 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 		env.Fail(fmt.Errorf("%w: core: node %d active past final stage without output", runtime.ErrProtocol, env.ID()))
 		return nil
 	}
-	st := &s.stages[s.cur]
+	st := &(*s.stages)[s.ctx.stage]
 	// One span note per round in the stage: summaries then see the stage's
 	// true round span and node-rounds, not just its entry.
 	if env.Tracing() && !st.lanes {
@@ -102,18 +107,19 @@ func (s *seqMachine) Send(env *runtime.Env) []runtime.Out {
 	s.ctx.stageRound++
 	outs := s.machine.Send(&s.ctx)
 	if s.ctx.yielded {
-		s.pending = true
+		s.ctx.pending = true
 	}
 	if st.lanes {
 		return outs
 	}
-	return wrapOuts(outs, 0, uint16(s.cur))
+	return wrapOuts(outs, 0, s.ctx.stage)
 }
 
 func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	s.ctx.env = env
-	if st := &s.stages[s.cur]; !st.lanes {
-		if err := checkInbox(inbox, 0, uint16(s.cur)); err != nil {
+	st := &(*s.stages)[s.ctx.stage]
+	if !st.lanes {
+		if err := checkInbox(inbox, 0, s.ctx.stage); err != nil {
 			env.Fail(fmt.Errorf("%w (stage %q)", err, st.Name))
 			return
 		}
@@ -122,18 +128,17 @@ func (s *seqMachine) Receive(env *runtime.Env, inbox []runtime.Msg) {
 	// round's messages (the model delivers them), but the stage is done; we
 	// require stages to have nothing useful left to hear after yielding, and
 	// drop the inbox in that case.
-	if !s.pending {
+	if !s.ctx.pending {
 		s.machine.Receive(&s.ctx, inbox)
 		if s.ctx.yielded {
-			s.pending = true
+			s.ctx.pending = true
 		}
 	}
 	if env.Terminated() {
 		return
 	}
-	budget := s.stages[s.cur].Budget
-	if s.pending || (budget > 0 && s.ctx.stageRound >= budget) {
-		s.enter(s.cur+1, env.Info())
+	if s.ctx.pending || (st.Budget > 0 && s.ctx.stageRound >= st.Budget) {
+		s.enter(int(s.ctx.stage)+1, env.Info())
 	}
 }
 

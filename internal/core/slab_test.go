@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -155,4 +156,14 @@ func anyInts(xs []int) []any {
 		out[i] = x
 	}
 	return out
+}
+
+// TestSeqMachineSize pins the per-node Sequence machine, the largest
+// element of a template run's machine slab: it keeps each fact once (the
+// memory and the stage index live in its StageCtx) and points to its
+// factory's shared stage list.
+func TestSeqMachineSize(t *testing.T) {
+	if got := unsafe.Sizeof(core.SeqMachine{}); got > 128 {
+		t.Errorf("seqMachine is %d bytes; want at most 128", got)
+	}
 }

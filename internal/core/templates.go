@@ -57,28 +57,39 @@ type ConsecutiveSpec struct {
 // one list, and their machines come from the same per-run slabs as
 // Sequence's.
 func Consecutive(spec ConsecutiveSpec) runtime.Factory {
-	var (
-		slabs  seqSlabs
-		budget int
-		ref    []Stage
-		stages []Stage
-	)
-	return func(info runtime.NodeInfo, pred any) runtime.Machine {
-		b, r := AlignUp(spec.Budget(info), spec.Align), spec.Ref(info)
-		if stages == nil || b != budget || !sameStages(r, ref) {
-			budget, ref = b, r
-			stages = make([]Stage, 0, 3+len(r))
-			stages = append(stages, spec.B)
-			if b > 0 {
-				stages = append(stages, spec.U(b))
-				if spec.C != nil {
-					stages = append(stages, *spec.C)
-				}
+	f := &consecutive{spec: spec}
+	return f.machine
+}
+
+// consecutive is a Consecutive factory's state: the per-run slabs, and the
+// last stage list built, with the budget and reference it was built from.
+// The machines of every node that runs the list point to stages, so the
+// list's header is made once with the list itself.
+type consecutive struct {
+	spec   ConsecutiveSpec
+	slabs  seqSlabs
+	budget int
+	ref    []Stage
+	stages *[]Stage
+}
+
+func (f *consecutive) machine(info runtime.NodeInfo, pred any) runtime.Machine {
+	spec := &f.spec
+	b, r := AlignUp(spec.Budget(info), spec.Align), spec.Ref(info)
+	if f.stages == nil || b != f.budget || !sameStages(r, f.ref) {
+		f.budget, f.ref = b, r
+		stages := make([]Stage, 0, 3+len(r))
+		stages = append(stages, spec.B)
+		if b > 0 {
+			stages = append(stages, spec.U(b))
+			if spec.C != nil {
+				stages = append(stages, *spec.C)
 			}
-			stages = append(stages, r...)
 		}
-		return newSeqMachine(&slabs, spec.Mem, stages, info, pred)
+		stages = append(stages, r...)
+		f.stages = &stages
 	}
+	return newSeqMachine(&f.slabs, spec.Mem, f.stages, info, pred)
 }
 
 // sameStages reports whether a and b are the same stage list: the same

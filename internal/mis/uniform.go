@@ -87,6 +87,9 @@ type uniformMachine struct {
 	color       int   // 0-based during coloring, 1-based class after
 	steps       []vcolor.ReductionStep
 	kStar       int
+	// buf is reused every round: by Send for the participating neighbors
+	// still active, by Receive for the colors heard.
+	buf []int
 
 	pendingKill bool
 }
@@ -104,14 +107,14 @@ func (m *uniformMachine) Send(c *core.StageCtx) []runtime.Out {
 	colorRounds := vcolor.Rounds(d, dHat)
 	switch {
 	case r == 1:
-		// Participation announcement.
-		active := m.mem.ActiveNeighbors(info)
-		m.participant = len(active) <= dHat
-		m.partNbrs = nil
+		// Participation announcement to the neighbors still active.
+		out := m.mem.NbrOut
+		m.participant = out.Len()-out.Count() <= dHat
+		m.partNbrs = m.partNbrs[:0]
 		if m.participant {
 			m.steps, m.kStar = vcolor.Schedule(d, dHat)
 			m.color = info.ID - 1
-			return c.BroadcastTo(active, participate{})
+			return c.BroadcastActive(out, participate{})
 		}
 		return nil
 	case r <= 1+colorRounds:
@@ -131,14 +134,16 @@ func (m *uniformMachine) Send(c *core.StageCtx) []runtime.Out {
 	}
 }
 
-// activePartNbrs returns the participating neighbors still active.
+// activePartNbrs returns the participating neighbors still active, in the
+// machine's reusable buffer.
 func (m *uniformMachine) activePartNbrs() []int {
-	out := make([]int, 0, len(m.partNbrs))
+	out := m.buf[:0]
 	for _, nb := range m.partNbrs {
 		if !m.mem.NbrOut.Has(nb) {
 			out = append(out, nb)
 		}
 	}
+	m.buf = out
 	return out
 }
 
@@ -149,7 +154,7 @@ func (m *uniformMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 	r := m.inPhase + 1
 	colorRounds := vcolor.Rounds(d, dHat)
 
-	var heard []int
+	heard := m.buf[:0]
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
 		case participate:
@@ -167,6 +172,7 @@ func (m *uniformMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
 			}
 		}
 	}
+	m.buf = heard
 	if m.participant && r > 1 && r <= 1+colorRounds {
 		m.applyColoringRound(r-1, heard, dHat)
 	}

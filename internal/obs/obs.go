@@ -19,7 +19,7 @@
 // CI trace-golden step pin.
 //
 // Cost contract: with no Recorder attached, the instrumented paths reduce
-// to a nil check (engine) or a boolean check (Env.Annotate); the
+// to a nil check (the engine, and Env.Annotate on its notes column); the
 // disabled-tracing path stays inside the steady-state allocation budget of
 // internal/runtime's TestSteadyStateAllocBudget.
 package obs

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -485,8 +486,16 @@ type state struct {
 	inbox  msgSlab
 	inMsgs []Msg
 
-	// errs[i] records a per-node engine error (e.g. send to non-neighbor).
+	// errs[i] records node i's error: the machine's first Env.Fail, which
+	// writes it through run.errs, or the engine's own (a send to a
+	// non-neighbor, a CONGEST violation, a contained panic, which replaces
+	// an earlier Env.Fail).
 	errs []error
+	// dstSlab backs every node's Env.dst window: one destination slot per
+	// directed CSR edge, made by dstWindow at the run's first non-empty
+	// []Out and never for a run whose nodes only broadcast.
+	dstSlab []int32
+	dstOnce sync.Once
 	// terminatedThisSend marks nodes that terminated during the send phase.
 	terminatedThisSend []bool
 	// abandoned marks that a deadline abort left a phase goroutine alive on
@@ -573,7 +582,10 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 	// (the common generator default), the graph's index-sorted adjacency is
 	// already ID-sorted and can be aliased without copying or sorting.
 	off, adj := g.CSR()
-	st.run = runInfo{n: n, d: g.D(), delta: g.MaxDegree(), off: off}
+	st.run = runInfo{n: n, d: g.D(), delta: g.MaxDegree(), off: off, errs: st.errs}
+	if cfg.Trace != nil {
+		st.run.notes = make([][]Note, n)
+	}
 	identity := true
 	for i := 0; i < n; i++ {
 		if g.ID(i) != i+1 {
@@ -617,12 +629,6 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 		}
 	}
 
-	tracing := cfg.Trace != nil
-	// Every node's dst starts as an empty window of one CSR-sized slab with
-	// room for one message per neighbor; the full slice expression caps the
-	// window, so a node sending more than that grows into a private array
-	// instead of overwriting its successor's window.
-	dst := make([]int32, len(adj))
 	for i := 0; i < n; i++ {
 		var pred any
 		if cfg.Predictions != nil {
@@ -630,8 +636,6 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 		}
 		e := &st.envs[i]
 		e.run, e.index, e.id = &st.run, int32(i), g.ID(i)
-		e.tracing = tracing
-		e.dst = dst[off[i]:off[i]:off[i+1]]
 		st.mach[i] = cfg.Factory(e.Info(), pred)
 		st.actByIdx[i] = int32(i)
 		st.frontier.set(i)
@@ -656,6 +660,7 @@ func newState(cfg Config, g *graph.Graph, n int, crashes map[int]int, part *shar
 //
 //dgp:hotpath
 func (st *state) beginRound(round int) {
+	st.run.round = round
 	if st.trace != nil {
 		st.trace.Emit(obs.Event{Type: obs.EvRoundStart, Round: round, Value: int64(st.activeCount)})
 	}
@@ -682,7 +687,6 @@ func (st *state) beginRound(round int) {
 		}
 		st.actByIdx[k] = si
 		k++
-		st.envs[i].round = round
 		st.terminatedThisSend[i] = false
 	}
 	st.actByIdx = st.actByIdx[:k]
@@ -716,34 +720,38 @@ func searchIDs(a []int, id int) int {
 
 // callSend invokes machine i's Send with panic containment: a panic is
 // recorded as a per-node ErrMachinePanic instead of unwinding into the
-// engine (or a pool worker goroutine, which would crash the process).
+// engine (or a pool worker goroutine, which would crash the process), and
+// returns no messages.
 //
 //dgp:hotpath
-func (st *state) callSend(i int) (outs []Out, ok bool) {
+func (st *state) callSend(i int) (outs []Out) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.errs[i] = fmt.Errorf("%w: node %d, round %d, Send: %v",
-				ErrMachinePanic, st.envs[i].id, st.envs[i].round, r)
+				ErrMachinePanic, st.envs[i].id, st.run.round, r)
 		}
 	}()
-	return st.mach[i].Send(&st.envs[i]), true
+	return st.mach[i].Send(&st.envs[i])
 }
 
-// callReceive is callSend's Receive-phase counterpart.
+// receivePhase hands node i its inbox region, with callSend's panic
+// containment. An Env.Fail lands in st.errs directly.
 //
 //dgp:hotpath
-func (st *state) callReceive(i int) (ok bool) {
+func (st *state) receivePhase(i int) {
+	if st.terminatedThisSend[i] {
+		return
+	}
 	e := &st.envs[i]
 	e.inReceive = true
 	defer func() {
 		e.inReceive = false
 		if r := recover(); r != nil {
 			st.errs[i] = fmt.Errorf("%w: node %d, round %d, Receive: %v",
-				ErrMachinePanic, e.id, e.round, r)
+				ErrMachinePanic, e.id, st.run.round, r)
 		}
 	}()
 	st.mach[i].Receive(e, st.inMsgs[st.inOff[i]:st.inFill[i]])
-	return true
 }
 
 //dgp:hotpath
@@ -752,12 +760,9 @@ func (st *state) sendPhase(i int) {
 	e.bcastSet = false
 	e.bcast = nil
 	e.outs = nil
-	outs, ok := st.callSend(i)
-	if !ok {
-		return
-	}
-	if err := e.err; err != nil {
-		st.errs[i] = err
+	outs := st.callSend(i)
+	if st.errs[i] != nil {
+		// A panic, or an Env.Fail during Send.
 		return
 	}
 	if e.bcastSet {
@@ -790,6 +795,9 @@ func (st *state) sendPhase(i int) {
 	lo, hi := st.run.off[i], st.run.off[i+1]
 	nbIDs, nbIdx := st.run.ids[lo:hi], st.csrNbr[lo:hi]
 	dst := e.dst[:0]
+	if dst == nil && len(outs) > 0 {
+		dst = st.dstWindow(i)
+	}
 	for _, out := range outs {
 		pos := searchIDs(nbIDs, out.To)
 		if pos == len(nbIDs) || nbIDs[pos] != out.To {
@@ -817,19 +825,16 @@ func (st *state) sendPhase(i int) {
 	}
 }
 
-// receivePhase hands node i its inbox region.
-//
-//dgp:hotpath
-func (st *state) receivePhase(i int) {
-	if st.terminatedThisSend[i] {
-		return
-	}
-	if !st.callReceive(i) {
-		return
-	}
-	if err := st.envs[i].err; err != nil {
-		st.errs[i] = err
-	}
+// dstWindow returns node i's empty window of the run's destination slab,
+// making the slab on the first call of the run. The window has room for
+// one message per neighbor; the full slice expression caps it, so a node
+// sending more than that grows into a private array instead of
+// overwriting its successor's window. Workers call it concurrently during
+// the send phase; the sync.Once makes the slab exactly once.
+func (st *state) dstWindow(i int) []int32 {
+	st.dstOnce.Do(func() { st.dstSlab = make([]int32, len(st.csrNbr)) })
+	lo, hi := st.run.off[i], st.run.off[i+1]
+	return st.dstSlab[lo:lo:hi]
 }
 
 // account books count delivered copies of a message of b bits (see
@@ -938,11 +943,11 @@ func outputEvent(round int, e *Env) obs.Event {
 //dgp:hotpath
 func (st *state) drainNotes(round int) {
 	for _, si := range st.actByIdx {
-		e := &st.envs[si]
-		for _, nt := range e.notes {
-			st.trace.Emit(obs.Event{Type: obs.EvSpan, Round: round, Node: e.id, Name: nt.Name, Value: nt.Value})
+		id := st.envs[si].id
+		for _, nt := range st.run.notes[si] {
+			st.trace.Emit(obs.Event{Type: obs.EvSpan, Round: round, Node: id, Name: nt.Name, Value: nt.Value})
 		}
-		e.notes = e.notes[:0]
+		st.run.notes[si] = st.run.notes[si][:0]
 	}
 }
 

@@ -158,37 +158,49 @@ type Note struct {
 	Value int64
 }
 
-// runInfo is the static information every node of a run shares: n, d, Δ
-// and the identifier-sorted CSR offsets and neighbor identifiers. Env keeps
-// a pointer to it instead of a NodeInfo copy per node; Env.Info assembles a
-// node's NodeInfo from it when asked.
+// runInfo is what every node of a run shares: the static n, d, Δ and the
+// identifier-sorted CSR offsets and neighbor identifiers, plus the run's
+// per-round and per-run columns. Env keeps a pointer to it instead of a
+// NodeInfo copy per node; Env.Info assembles a node's NodeInfo from it when
+// asked.
 type runInfo struct {
 	n, d, delta int
 	off         []int32
 	ids         []int
+	// round is the current round (1-based), set once per round by the
+	// engine before the send phase.
+	round int
+	// errs is the run's per-node error column (state.errs): Env.fail records
+	// node i's first error at errs[i]. Each Env is owned by exactly one
+	// worker per phase, so the writes need no lock; the engine reads the
+	// column after the phase barrier.
+	errs []error
+	// notes stages every node's annotations for the round, indexed by node
+	// index. It is made only when a trace recorder is attached (nil means
+	// tracing is off). Machine code may append via Annotate from a pool
+	// worker goroutine — under the same one-owner rule as errs — and the
+	// engine drains it on the main goroutine after the phase barrier, in
+	// node-index order.
+	notes [][]Note
 }
 
 // Env is the per-node environment handed to Machine methods. It exposes the
 // node's static information, the current round, and output/termination.
+// It keeps only what differs between nodes; run-wide state (the round, the
+// error column, trace notes) lives in the shared runInfo.
 type Env struct {
 	run    *runInfo
 	id     int
-	round  int
 	output any
-	err    error
-	// notes stages this node's annotations for the round while tracing
-	// mirrors "a trace recorder is attached". Machine code may append via
-	// Annotate from a pool worker goroutine — each Env is owned by exactly
-	// one worker per phase — and the engine drains the buffer on the main
-	// goroutine after the phase barrier, in node-index order.
-	notes []Note
 	// outs/dst stage the node's validated outbox for the routing passes:
 	// outs is the slice returned by Send, dst the destination node indices
-	// resolved during validation (cut from one CSR-sized slab in newState,
-	// so it grows only for a node sending more messages than it has
-	// neighbors). bcast, bcastTag and bcastMask stage a broadcast batch
-	// (BroadcastMasked) instead, bcastSet marks one staged this round, and
-	// inReceive guards the broadcast path against receive-phase calls.
+	// resolved during validation. dst is a window of one CSR-sized slab the
+	// engine makes at the run's first non-empty []Out (nil until then, and
+	// for a run that only broadcasts), so it grows only for a node sending
+	// more messages than it has neighbors. bcast, bcastTag and bcastMask
+	// stage a broadcast batch (BroadcastMasked) instead, bcastSet marks one
+	// staged this round, and inReceive guards the broadcast path against
+	// receive-phase calls.
 	outs      []Out
 	dst       []int32
 	bcast     Payload
@@ -200,7 +212,6 @@ type Env struct {
 	bcastTag   uint32
 	hasOutput  bool
 	terminated bool
-	tracing    bool
 	bcastSet   bool
 	inReceive  bool
 }
@@ -225,7 +236,7 @@ func (e *Env) Info() NodeInfo {
 func (e *Env) ID() int { return e.id }
 
 // Round returns the current round number (1-based).
-func (e *Env) Round() int { return e.round }
+func (e *Env) Round() int { return e.run.round }
 
 // Output assigns (or overwrites) the node's output value. Per the model a
 // node may produce outputs over several rounds (e.g. edge colorings); the
@@ -267,7 +278,7 @@ func (e *Env) Fail(err error) { e.fail(err) }
 // Tracing reports whether a trace recorder is attached to the run. Callers
 // that build annotation strings should guard on it so the disabled-tracing
 // path stays allocation-free.
-func (e *Env) Tracing() bool { return e.tracing }
+func (e *Env) Tracing() bool { return e.run.notes != nil }
 
 // Annotate stages a trace annotation for this node; the engine emits it as
 // a span event at the end of the round (or discards it when tracing is
@@ -276,10 +287,12 @@ func (e *Env) Tracing() bool { return e.tracing }
 //
 //dgp:hotpath
 func (e *Env) Annotate(name string, value int64) {
-	if !e.tracing {
+	// The append sits on the tracing-only branch, which ends the call: the
+	// disabled-tracing path is the nil check alone.
+	if notes := e.run.notes; notes != nil {
+		notes[e.index] = append(notes[e.index], Note{Name: name, Value: value})
 		return
 	}
-	e.notes = append(e.notes, Note{Name: name, Value: value})
 }
 
 // Broadcast asks the engine to deliver payload to every neighbor this
@@ -323,8 +336,10 @@ func (e *Env) BroadcastMasked(tag uint32, mask []uint64, payload Payload) {
 	e.bcastSet = true
 }
 
+// fail records err as the node's error in the run's error column, unless
+// the node already has one: the first error of a node is the one reported.
 func (e *Env) fail(err error) {
-	if e.err == nil {
-		e.err = fmt.Errorf("node %d round %d: %w", e.id, e.round, err)
+	if errs := e.run.errs; errs[e.index] == nil {
+		errs[e.index] = fmt.Errorf("node %d round %d: %w", e.id, e.run.round, err)
 	}
 }

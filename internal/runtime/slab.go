@@ -16,6 +16,11 @@ package runtime
 // high-water shrink policy: capacity that exceeds slabShrinkFactor times the
 // largest demand seen in the last slabShrinkWindow rounds is released and
 // the arena is re-allocated at that high-water mark.
+//
+// Growth from an empty arena takes exactly the round's demand: the first
+// round that sends is often a run's densest (every node announcing itself),
+// so headroom there would only hold slots no later round fills. Every later
+// growth adds 25% headroom, so a slowly rising demand reallocates rarely.
 type msgSlab struct {
 	arena []Msg
 	// used is the slot count handed out by the previous acquire.
@@ -65,10 +70,14 @@ func (s *msgSlab) acquire(total int) []Msg {
 		s.peak, s.ticks = total, 0
 	}
 	if total > len(s.arena) {
-		// Grow with headroom; the old arena (and its stale references) is
-		// dropped wholesale.
+		// Grow, with headroom unless the arena was empty; the old arena (and
+		// its stale references) is dropped wholesale.
+		size := total
+		if len(s.arena) > 0 {
+			size += total / 4
+		}
 		//lint:allow allocguard (growth: amortized by the 25% headroom — steady-state rounds take the recycle branch and never reach this make)
-		s.arena = make([]Msg, total+total/4)
+		s.arena = make([]Msg, size)
 	} else {
 		for i := total; i < s.used; i++ {
 			s.arena[i] = Msg{}

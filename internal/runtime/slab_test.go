@@ -122,3 +122,27 @@ func TestSlabGrowsBeyondShrinkFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabGrowthHeadroom pins the arena's growth sizes: growth from an
+// empty arena takes exactly the demand (a run's first sending round is
+// often its densest, so headroom there would never be filled), and a later,
+// larger demand grows with 25% headroom.
+func TestSlabGrowthHeadroom(t *testing.T) {
+	var s msgSlab
+	s.acquire(0)
+	if s.capacity() != 0 {
+		t.Fatalf("acquire(0) on an empty arena made %d slots", s.capacity())
+	}
+	s.acquire(4000)
+	if s.capacity() != 4000 {
+		t.Errorf("first growth: capacity %d, want exactly 4000", s.capacity())
+	}
+	s.acquire(3000)
+	if s.capacity() != 4000 {
+		t.Errorf("a smaller demand reallocated: capacity %d, want 4000", s.capacity())
+	}
+	s.acquire(8000)
+	if s.capacity() != 10000 {
+		t.Errorf("later growth: capacity %d, want 10000 (25%% headroom over 8000)", s.capacity())
+	}
+}

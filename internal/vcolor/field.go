@@ -57,18 +57,26 @@ type ReductionStep struct {
 // Every node computes the same schedule from (d, Δ), so the rounds are
 // lockstep and the total round bound is known in advance.
 func Schedule(d, delta int) (steps []ReductionStep, kStar int) {
-	k := d
 	if delta == 0 {
 		return nil, 1
 	}
+	k := d
 	for {
-		q, t := chooseField(k, delta)
-		if q*q >= k {
+		step, ok := nextStep(k, delta)
+		if !ok {
 			return steps, k
 		}
-		steps = append(steps, ReductionStep{Q: q, T: t, K: k})
-		k = q * q
+		steps = append(steps, step)
+		k = step.Q * step.Q
 	}
+}
+
+// nextStep returns the reduction step from a palette of k colors, and false
+// when k is the schedule's fixed point (no field shrinks it further).
+// delta must be positive.
+func nextStep(k, delta int) (ReductionStep, bool) {
+	q, t := chooseField(k, delta)
+	return ReductionStep{Q: q, T: t, K: k}, q*q < k
 }
 
 // chooseField returns the smallest prime q (and the smallest feasible degree
@@ -98,9 +106,18 @@ func chooseField(k, delta int) (q, t int) {
 // Δ+1 colors. The bound is O(Δ² + log* d); see DESIGN.md for the (documented)
 // gap to the paper's O(Δ + log* d) references, which changes only constants
 // in the robustness bounds.
+//
+// It walks the schedule without building it: the templates call it in
+// every round of every node.
 func Rounds(d, delta int) int {
-	steps, kStar := Schedule(d, delta)
-	total := len(steps)
+	total, kStar := 0, 1
+	if delta > 0 {
+		kStar = d
+		for step, ok := nextStep(kStar, delta); ok; step, ok = nextStep(kStar, delta) {
+			total++
+			kStar = step.Q * step.Q
+		}
+	}
 	if kStar > delta+1 {
 		total += kStar - (delta + 1)
 	}

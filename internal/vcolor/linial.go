@@ -64,6 +64,8 @@ type linialMachine struct {
 	total  int
 	color  int // 0-based current color
 	finish func(c *core.StageCtx, color, palette int)
+	// heard is the reusable buffer of the colors heard in a round.
+	heard []int
 }
 
 func newLinial(info runtime.NodeInfo, finish func(c *core.StageCtx, color, palette int)) *linialMachine {
@@ -87,29 +89,37 @@ func (m *linialMachine) Send(c *core.StageCtx) []runtime.Out {
 }
 
 func (m *linialMachine) Receive(c *core.StageCtx, inbox []runtime.Msg) {
-	heard := make([]int, 0, len(inbox))
-	for _, msg := range inbox {
-		if cm, ok := msg.Payload.(colorMsg); ok {
-			heard = append(heard, cm.C)
-		}
-	}
 	r := c.StageRound()
 	delta := c.Info().Delta
 	switch {
 	case r <= len(m.steps):
-		m.color = ApplyReduction(m.steps[r-1], m.color, heard)
+		m.color = ApplyReduction(m.steps[r-1], m.color, m.hear(inbox))
 	default:
 		// Final reduction: one color class per round, from kStar-1 down to
 		// Δ+1 (0-based), recolors to the smallest free color in [0, Δ].
+		// Only the nodes of the round's class read the colors they heard.
 		target := m.kStar - (r - len(m.steps))
 		if m.color == target && target > delta {
-			m.color = SmallestFreeColor(heard, delta+1)
+			m.color = SmallestFreeColor(m.hear(inbox), delta+1)
 		}
 	}
 	if r >= m.total {
 		// 1-based color for the standard palette {1, ..., Δ+1}.
 		m.finish(c, m.color+1, delta+1)
 	}
+}
+
+// hear collects the colors announced in inbox into the machine's reusable
+// buffer, valid until the next call.
+func (m *linialMachine) hear(inbox []runtime.Msg) []int {
+	heard := m.heard[:0]
+	for _, msg := range inbox {
+		if cm, ok := msg.Payload.(colorMsg); ok {
+			heard = append(heard, cm.C)
+		}
+	}
+	m.heard = heard
+	return heard
 }
 
 // SmallestFreeColor is the final-reduction recoloring rule: the least value

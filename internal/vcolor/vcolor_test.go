@@ -161,3 +161,19 @@ func TestScheduleProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundsMatchesSchedule pins Rounds, which walks the schedule without
+// building it, to the bound the built schedule gives: one round per step,
+// one per color the final reduction eliminates, and at least one.
+func TestRoundsMatchesSchedule(t *testing.T) {
+	for _, d := range []int{1, 2, 7, 16, 100, 1000, 2000, 100000} {
+		for delta := 0; delta <= 40; delta++ {
+			steps, kStar := vcolor.Schedule(d, delta)
+			want := len(steps) + max(kStar-(delta+1), 0)
+			want = max(want, 1)
+			if got := vcolor.Rounds(d, delta); got != want {
+				t.Errorf("Rounds(%d, %d) = %d; the schedule gives %d", d, delta, got, want)
+			}
+		}
+	}
+}

@@ -21,8 +21,10 @@ import (
 //
 // The bytes are pinned too. The one-shard mis solve on BarabasiAlbert(16000,
 // 3) may allocate at most misBytesPerNode per node: its stages send through
-// the engine's broadcast path, with no per-node outbox, and each Env keeps
-// no NodeInfo copy. A sharded run uses the same frontier lists, inbox arena
+// the engine's broadcast path, with no per-node outbox and so no
+// destination slab, each Env keeps no NodeInfo copy and no run-wide field,
+// and each template machine keeps one copy of each of its fields. The same
+// solve on a 10^5-node ring is pinned at misRingBytesPerNode. A sharded run uses the same frontier lists, inbox arena
 // and worker set, so the same solve on two shards may allocate at most 1.08
 // times its bytes. That gap is the counting pass's within stream (one slot
 // cursor per delivery, sized once per run) and the per-shard ledgers.
@@ -86,21 +88,61 @@ func TestTemplateAllocBudget(t *testing.T) {
 			two/1e6, one/1e6, two/one)
 	}
 
-	// vcolor's greedy stage decides which neighbors are still active from
-	// its neighbor table each round, with no per-round slice: what remains
-	// per node is its memory, tables and the palette scan at its one output.
-	vpreds, err := repro.GeneratePreds("vcolor", g, 1600, 2)
+	// The ring has no degree skew: its bytes are the per-node state alone
+	// (Env, machine, memory, frontier and inbox columns) plus one arena
+	// slot per directed edge.
+	ring := repro.Ring(100000)
+	rpreds, err := repro.GeneratePreds("mis", ring, 10000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := repro.RunProblem(g, "vcolor", "greedy", vpreds, repro.Options{}); err != nil {
+	ringBytes := bytesPerRun(3, func() {
+		if _, err := repro.RunProblem(ring, "mis", "simple", rpreds, repro.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("vcolor greedy BA n=16000: %.0f allocs/run (%.2f/node)", allocs, allocs/float64(g.N()))
-	if perNode := allocs / float64(g.N()); perNode > vcolorGreedyAllocsPerNode {
-		t.Errorf("vcolor greedy BA n=16000: %.2f allocs/node, over the %.1f bound", perNode, vcolorGreedyAllocsPerNode)
+	t.Logf("mis ring n=100000: %.1f MB/run (%.0f B/node)", ringBytes/1e6, ringBytes/float64(ring.N()))
+	if perNode := ringBytes / float64(ring.N()); perNode > misRingBytesPerNode {
+		t.Errorf("mis ring n=100000: %.0f B/node, over the %d B/node bound", perNode, misRingBytesPerNode)
+	}
+
+	// Allocations per node of variants whose machines keep reusable
+	// per-node buffers instead of a fresh slice per round:
+	//   - vcolor greedy decides which neighbors are still active from its
+	//     neighbor table, so what remains per node is its memory, tables and
+	//     the palette scan at its one output;
+	//   - mis uniform reuses one buffer for the participating neighbors it
+	//     sends to and the colors it hears, and counts the Linial schedule
+	//     without building it;
+	//   - vcolor standalone collects the colors it heard only in a reduction
+	//     step or when its color is the round's target; boxing the colors it
+	//     broadcasts is most of what remains.
+	small := repro.BarabasiAlbert(2000, 3, repro.NewRand(1))
+	for _, c := range []struct {
+		problem, alg string
+		g            *repro.Graph
+		flips        int
+		seed         int64
+		bound        float64
+	}{
+		{"vcolor", "greedy", g, 1600, 2, vcolorGreedyAllocsPerNode},
+		{"mis", "uniform", small, 200, 1, misUniformAllocsPerNode},
+		{"vcolor", "standalone", small, 200, 1, vcolorStandaloneAllocsPerNode},
+	} {
+		preds, err := repro.GeneratePreds(c.problem, c.g, c.flips, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := repro.RunProblem(c.g, c.problem, c.alg, preds, repro.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perNode := allocs / float64(c.g.N())
+		t.Logf("%s %s BA n=%d: %.0f allocs/run (%.2f/node)", c.problem, c.alg, c.g.N(), allocs, perNode)
+		if perNode > c.bound {
+			t.Errorf("%s %s BA n=%d: %.2f allocs/node, over the %g bound", c.problem, c.alg, c.g.N(), perNode, c.bound)
+		}
 	}
 }
 
@@ -109,10 +151,26 @@ func TestTemplateAllocBudget(t *testing.T) {
 // 8.2.
 const vcolorGreedyAllocsPerNode = 5.5
 
+// misUniformAllocsPerNode bounds mis uniform's allocations per node: about
+// 1.7 measured. Fresh per-round slices and a Linial schedule built on every
+// Send and Receive put it at about 35.
+const misUniformAllocsPerNode = 3
+
+// vcolorStandaloneAllocsPerNode bounds vcolor standalone's allocations per
+// node: about 770 measured, nearly all of them boxed colors. A fresh slice
+// of heard colors on every node in every round puts it at about 2580.
+const vcolorStandaloneAllocsPerNode = 900
+
 // misBytesPerNode bounds the one-shard mis solve's allocation per node: about
-// 1030 B/node measured, with 7% headroom. Per-node outboxes and a second
-// NodeInfo copy per node put it at about 1300 B/node.
-const misBytesPerNode = 1100
+// 860 B/node measured, with 7% headroom. A destination slab made for a run
+// that never returns a []Out, run-wide fields copied into every Env and
+// duplicated fields in every template machine put it at about 1030 B/node.
+const misBytesPerNode = 920
+
+// misRingBytesPerNode bounds the one-shard mis solve's allocation per node
+// on a 10^5-node ring: about 630 B/node measured, with 8% headroom. The
+// state that misBytesPerNode's comment names puts it at about 750 B/node.
+const misRingBytesPerNode = 680
 
 // bytesPerRun reports the heap bytes f allocates per call, averaged over
 // runs calls after one warm-up call.
